@@ -265,17 +265,23 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
     return tok_out, glob_out
 
 
-def causal_mask(L: int) -> np.ndarray:
-    return np.tril(np.ones((L, L), dtype=bool))[None]
+def causal_mask(Lq: int, Lk: int) -> np.ndarray:
+    """[1, Lq, Lk]; query i sits at key position Lk - Lq + i and sees keys up to it."""
+    return np.tril(np.ones((Lq, Lk), dtype=bool), k=Lk - Lq)[None]
 
 
 def causal_self_attention(q: Tensor, k: Tensor, v: Tensor,
                           bias: np.ndarray | Tensor | None = None) -> Tensor:
-    """Full attention with a strict j <= i mask."""
+    """Full attention with a j <= i mask over the last Lq of Lk positions.
+
+    Lq == Lk is the teacher-forced case; Lq < Lk lets the newest queries
+    attend to a cache of earlier keys and values.
+    """
     _check_qkv(q, k, v)
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError("causal self-attention needs Lq == Lk")
-    return full_attention(q, k, v, mask=causal_mask(q.shape[1]), bias=bias)
+    Lq, Lk = q.shape[1], k.shape[1]
+    if Lq > Lk:
+        raise ShapeError(f"causal self-attention needs Lq <= Lk, got {Lq} > {Lk}")
+    return full_attention(q, k, v, mask=causal_mask(Lq, Lk), bias=bias)
 
 
 def cross_attention(dec_q: Tensor, enc_k: Tensor, enc_v: Tensor) -> Tensor:

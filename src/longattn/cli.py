@@ -28,7 +28,7 @@ from . import data as D
 from . import rouge as R
 from . import train as TR
 from .attention import AttentionSpec, Variant, make_block_layout
-from .model import ModelConfig, init_params
+from .model import ModelConfig, beam_decode, greedy_decode, init_params
 from .posenc import Scheme
 
 
@@ -71,7 +71,7 @@ DEFAULTS: dict[str, dict] = {
         "bench": {"lengths": [256, 512, 1024], "block_size": 64, "num_global": 32,
                   "num_heads": 4, "head_dim": 16, "repeats": 3,
                   "variants": ["full", "block_local", "global_local"],
-                  "baseline": ["block_local", 256], "check_ordering": True},
+                  "baseline": None, "check_ordering": True},
     },
     "dump-mask": {
         "mask": {"L": 64, "layer": 0, "block_size": 16, "staggered": True},
@@ -272,19 +272,22 @@ def cmd_eval(cfg: dict, out: Path, seed: int, ckpt_path: str,
     data_path = data_path or cfg["data"]["path"]
     if not data_path:
         raise ConfigError("eval needs --data (or data.path in config)")
+    dc = cfg["decode"]
+    if not isinstance(dc["beam_size"], int) or dc["beam_size"] < 1:
+        raise ConfigError(f"decode.beam_size must be >= 1, got {dc['beam_size']}")
     mcfg, params = AD.load(ckpt_path)
     pairs = _load_pairs(data_path)
-    dc = cfg["decode"]
     outputs = []
-    for inp, tgt in pairs:
-        if dc["beam_size"] > 1:
-            from .model import beam_decode
-            hyp = beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"],
-                              dc["max_len"])
-        else:
-            from .model import greedy_decode
-            hyp = greedy_decode(mcfg, params, inp, dc["max_len"])
-        outputs.append((hyp, tgt))
+    try:
+        for inp, tgt in pairs:
+            if dc["beam_size"] > 1:
+                hyp = beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"],
+                                  dc["max_len"])
+            else:
+                hyp = greedy_decode(mcfg, params, inp, dc["max_len"])
+            outputs.append((hyp, tgt))
+    except ValueError as e:
+        raise ConfigError(f"decode: {e}") from e
     report = R.corpus_report(outputs, use_lsum_for_rg=cfg["use_lsum_for_rg"])
     em = sum(1 for h, t in outputs if list(h) == list(t)) / len(outputs)
     with open(out / "rouge.csv", "w") as f:
@@ -309,8 +312,9 @@ def cmd_bench(cfg: dict, out: Path, seed: int) -> int:
             bc["num_global"] if v == Variant.GLOBAL_LOCAL else 0,
             False, h, hd))
     try:
+        baseline = None if bc["baseline"] is None else tuple(bc["baseline"])
         rows = B.run_scaling(specs, bc["lengths"], repeats=bc["repeats"],
-                             baseline=tuple(bc["baseline"]), seed=seed)
+                             baseline=baseline, seed=seed)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     (out / "scaling.csv").write_text(B.rows_to_csv(rows))

@@ -45,11 +45,12 @@ class PosEncConfig:
             raise ValueError("max_distance must exceed num_buckets")
 
 
-def sinusoidal(L: int, d: int, factor: float = 10000.0) -> np.ndarray:
-    """PE[p, 2i] = sin(p / factor^(2i/d)), PE[p, 2i+1] = cos(...)."""
+def sinusoidal(L: int, d: int, factor: float = 10000.0, start: int = 0) -> np.ndarray:
+    """PE[p, 2i] = sin(p / factor^(2i/d)), PE[p, 2i+1] = cos(...), for the L
+    positions p = start .. start + L - 1."""
     if d % 2 != 0:
         raise ValueError(f"sinusoidal encoding needs even width, got {d}")
-    pos = np.arange(L, dtype=np.float64)[:, None]
+    pos = np.arange(start, start + L, dtype=np.float64)[:, None]
     freq = factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     ang = pos * freq[None, :]
     pe = np.zeros((L, d), dtype=np.float64)
@@ -67,12 +68,13 @@ def replicate(table: np.ndarray, new_len: int) -> np.ndarray:
     return np.tile(table, (reps, 1))[:new_len]
 
 
-def learned_absolute(table: Tensor, L: int) -> Tensor:
-    if L > table.shape[0]:
+def learned_absolute(table: Tensor, L: int, start: int = 0) -> Tensor:
+    """Rows start .. start + L - 1 of a learned position table."""
+    if start + L > table.shape[0]:
         raise ValueError(
-            f"sequence length {L} exceeds learned position table ({table.shape[0]}); "
-            "replicate the table first")
-    return T.narrow(table, 0, 0, L)
+            f"sequence length {start + L} exceeds learned position table "
+            f"({table.shape[0]}); replicate the table first")
+    return T.narrow(table, 0, start, L)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +144,21 @@ def t5_bucket(rel: np.ndarray, num_buckets: int, max_distance: int,
 
 
 def relative_bucket_matrix(Lq: int, Lk: int, num_buckets: int, max_distance: int,
-                           bidirectional: bool) -> np.ndarray:
-    rel = np.arange(Lk)[None, :] - np.arange(Lq)[:, None]
+                           bidirectional: bool, q_start: int = 0) -> np.ndarray:
+    """Buckets of key j relative to query i, which sits at position q_start + i."""
+    rel = np.arange(Lk)[None, :] - np.arange(q_start, q_start + Lq)[:, None]
     return t5_bucket(rel, num_buckets, max_distance, bidirectional)
 
 
 def t5_relative_bias(Lq: int, Lk: int, num_buckets: int, max_distance: int,
-                     bias_table: Tensor, bidirectional: bool) -> Tensor:
-    """[h, Lq, Lk] additive logit bias gathered from a [h, num_buckets] table."""
+                     bias_table: Tensor, bidirectional: bool, q_start: int = 0) -> Tensor:
+    """[h, Lq, Lk] additive logit bias gathered from a [h, num_buckets] table;
+    query i sits at key position q_start + i."""
     if bias_table.shape[1] != num_buckets:
         raise ValueError(
             f"bias table has {bias_table.shape[1]} buckets, config says {num_buckets}")
-    buckets = relative_bucket_matrix(Lq, Lk, num_buckets, max_distance, bidirectional)
+    buckets = relative_bucket_matrix(Lq, Lk, num_buckets, max_distance, bidirectional,
+                                     q_start)
     out = Tensor(bias_table.data[:, buckets])
 
     def backward(g):

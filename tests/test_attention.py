@@ -240,6 +240,28 @@ class TestCausalAndCross:
         ref = loop_attention(q.data, k.data, v.data, allow=allow)
         assert np.abs(out.data - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("Lq", [1, 3, 7])
+    def test_cached_queries_match_loop_oracle(self, Lq):
+        # the Lq queries are the last Lq of 7 positions
+        rng = np.random.default_rng(22)
+        q = Tensor(rng.standard_normal((2, Lq, 4)))
+        k, v = (Tensor(rng.standard_normal((2, 7, 4))) for _ in range(2))
+        bias = rng.standard_normal((2, Lq, 7))
+        out = A.causal_self_attention(q, k, v, bias=bias)
+        allow = np.tril(np.ones((7, 7), dtype=bool))[7 - Lq:]
+        ref = loop_attention(q.data, k.data, v.data, allow=allow, bias=bias)
+        assert np.abs(out.data - ref).max() < 1e-10
+
+    def test_square_mask_unchanged(self):
+        assert np.array_equal(A.causal_mask(5, 5)[0], np.tril(np.ones((5, 5), dtype=bool)))
+
+    def test_more_queries_than_keys_rejected(self):
+        rng = np.random.default_rng(23)
+        q = Tensor(rng.standard_normal((1, 4, 4)))
+        k, v = (Tensor(rng.standard_normal((1, 3, 4))) for _ in range(2))
+        with pytest.raises(T.ShapeError):
+            A.causal_self_attention(q, k, v)
+
     def test_future_perturbation_invariance(self):
         rng = np.random.default_rng(16)
         q, k, v = rand_qkv(rng, 2, 6, 4)

@@ -137,6 +137,15 @@ class TestBenchCommand:
         full = {r["L"]: r for r in rows if r["variant"] == "full"}
         assert full[1024]["score_elems"] == 4 * full[512]["score_elems"]
 
+    def test_default_baseline_is_first_row(self, tmp_path):
+        rc = run(["bench", "--out", tmp_path, "--set", "bench.repeats=1",
+                  "--set", "bench.lengths=[128]", "--set", "bench.check_ordering=false",
+                  "--set", "bench.num_heads=1", "--set", "bench.head_dim=4"])
+        assert rc == 0
+        from longattn import bench as B
+        rows = B.rows_from_csv((tmp_path / "scaling.csv").read_text())
+        assert rows[0]["L"] == 128 and rows[0]["mac_rel"] == 1.0
+
 
 class TestAdaptCommand:
     def make_ckpt(self, tmp_path):
@@ -195,3 +204,30 @@ class TestEvalCommand:
         assert float(row.split(",")[-1]) == 1.0
         metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert metrics["exact_match"] == 1.0
+
+    def make_run(self, tmp_path):
+        from longattn import adapt as AD
+        from longattn import data as D
+        from longattn import model as M
+        from longattn.attention import Variant
+        cfg = M.make_config(Variant.FULL, vocab_size=16, d_model=16, num_heads=2,
+                            d_ff=32, enc_layers=1, dec_layers=1,
+                            max_input_len=32, max_output_len=8)
+        AD.save(cfg, M.init_params(cfg, 0), tmp_path / "ck")
+        D.write_jsonl(D.gen_corpus("copy", 2, (4, 6), 16, seed=0), tmp_path / "d.jsonl")
+        return ["eval", "--out", tmp_path / "ev", "--ckpt", tmp_path / "ck",
+                "--data", tmp_path / "d.jsonl"]
+
+    @pytest.mark.parametrize("beam_size", [1, 3])
+    def test_overlong_decode_exits_2(self, tmp_path, capsys, beam_size):
+        rc = run(self.make_run(tmp_path) + ["--set", "decode.max_len=200",
+                                            "--set", f"decode.beam_size={beam_size}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_len 200" in err
+
+    @pytest.mark.parametrize("beam_size", ["0", "-1", '"two"'])
+    def test_bad_beam_size_exits_2(self, tmp_path, capsys, beam_size):
+        rc = run(self.make_run(tmp_path) + ["--set", f"decode.beam_size={beam_size}"])
+        assert rc == 2
+        assert "decode.beam_size" in capsys.readouterr().err

@@ -333,3 +333,163 @@ class TestDecoding:
         best = max(candidates, key=seq_logprob)
         got = M.beam_decode(cfg, params, ids, beam_size=27, alpha=0.0, max_len=max_len)
         assert abs(seq_logprob(got) - seq_logprob(best)) < 1e-12
+
+    def test_overlong_max_len_rejected_before_encoding(self):
+        # the input is too long as well: the decode length must be the error
+        cfg = tiny_config()
+        params = M.init_params(cfg, 0)
+        ids = [6] * (cfg.max_input_len + 1)
+        with pytest.raises(ValueError, match="max_len"):
+            M.greedy_decode(cfg, params, ids, max_len=cfg.max_output_len + 1)
+        with pytest.raises(ValueError, match="max_len"):
+            M.beam_decode(cfg, params, ids, beam_size=2, max_len=cfg.max_output_len + 1)
+
+    def test_full_length_decode_allowed(self):
+        cfg = tiny_config()
+        params = M.init_params(cfg, 0)
+        n = cfg.max_output_len
+        assert len(M.greedy_decode(cfg, params, [6, 7], max_len=n, eos_id=-1)) == n
+        assert len(M.beam_decode(cfg, params, [6, 7], 3, max_len=n, eos_id=-1)) == n
+
+
+class TestIncrementalDecoding:
+    """decoder_forward with a DecodeState against the teacher-forced pass."""
+
+    @staticmethod
+    def build(scheme, dga, cross_attn_layers):
+        cfg = tiny_config(Variant.GLOBAL_LOCAL, block_size=4, num_global=3,
+                          scheme=scheme, dec_layers=3, decoder_global_attn=dga,
+                          cross_attn_layers=cross_attn_layers)
+        params = M.init_params(cfg, 4)
+        rng = np.random.default_rng(5)
+        if scheme == Scheme.T5_RELATIVE:     # nonzero bias rows
+            params["posenc.bias_dec"] = Tensor(rng.standard_normal((2, 32)))
+        # decoder-side states only matter as inputs here
+        enc_tok = Tensor(rng.standard_normal((9, cfg.d_model)))
+        enc_glob = Tensor(rng.standard_normal((3, cfg.d_model)))
+        return cfg, params, enc_tok, enc_glob
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("dga", [False, True])
+    @pytest.mark.parametrize("cross_attn_layers", [(), (1,)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_steps_match_teacher_forced(self, scheme, dga, cross_attn_layers, batch):
+        cfg, params, enc_tok, enc_glob = self.build(scheme, dga, cross_attn_layers)
+        n = cfg.max_output_len
+        rng = np.random.default_rng(batch)
+        seqs = [[M.BOS_ID] + rng.integers(4, 16, size=n - 1).tolist() for _ in range(batch)]
+        ref = [M.decoder_forward(cfg, params, s, enc_tok, enc_glob).data for s in seqs]
+        state = M.DecodeState()
+        for t in range(n):
+            step = M.decoder_forward(cfg, params, [s[t] for s in seqs], enc_tok, enc_glob,
+                                     state=state).data
+            assert step.shape == (batch, cfg.vocab_size)
+            for b in range(batch):
+                assert np.abs(step[b] - ref[b][t]).max() < 1e-12, (t, b)
+        assert state.t == n
+        with pytest.raises(ValueError, match="max_output_len"):
+            M.decoder_forward(cfg, params, [s[0] for s in seqs], enc_tok, enc_glob,
+                              state=state)
+
+    def test_reorder_follows_parents(self):
+        cfg, params, enc_tok, enc_glob = self.build(Scheme.ROPE, True, ())
+        a, b = [M.BOS_ID, 7, 9, 4], [M.BOS_ID, 12, 5, 6]
+        state = M.DecodeState()
+        for t in range(2):
+            M.decoder_forward(cfg, params, [a[t], b[t]], enc_tok, enc_glob, state=state)
+        state.reorder([1, 1, 0])             # b twice, then a
+        step = M.decoder_forward(cfg, params, [b[2], 8, a[2]], enc_tok, enc_glob,
+                                 state=state).data
+        for row, seq in zip(step, ([*b[:3]], [*b[:2], 8], [*a[:3]])):
+            ref = M.decoder_forward(cfg, params, seq, enc_tok, enc_glob).data[-1]
+            assert np.abs(row - ref).max() < 1e-12
+
+    def test_batch_size_mismatch_rejected(self):
+        cfg, params, enc_tok, enc_glob = self.build(Scheme.SINUSOIDAL, False, ())
+        state = M.DecodeState()
+        M.decoder_forward(cfg, params, [M.BOS_ID] * 2, enc_tok, enc_glob, state=state)
+        with pytest.raises(ValueError, match="hypotheses"):
+            M.decoder_forward(cfg, params, [6], enc_tok, enc_glob, state=state)
+
+
+def reference_beam(cfg, params, input_ids, beam_size, alpha, max_len, eos_id):
+    """Beam search with one teacher-forced decoder pass per hypothesis and step.
+
+    Returns (best tokens, finished hypotheses)."""
+    enc_tok, enc_glob = M.encoder_forward(cfg, params, input_ids)
+    live, done = [(0.0, [])], []
+    for _ in range(max_len):
+        cand = []
+        for lp, seq in live:
+            row = M.decoder_forward(cfg, params, [M.BOS_ID] + seq, enc_tok, enc_glob).data[-1]
+            z = row - row.max()
+            logp = z - np.log(np.exp(z).sum())
+            for tid in np.argsort(-logp, kind="stable")[:beam_size]:
+                cand.append((lp + float(logp[tid]), seq + [int(tid)]))
+        cand.sort(key=lambda c: (-c[0] / M._length_penalty(len(c[1]), alpha), c[1]))
+        live = []
+        for lp, seq in cand:
+            (done if seq[-1] == eos_id else live).append((lp, seq))
+            if len(live) >= beam_size:
+                break
+        if not live:
+            break
+    finished = list(done)
+    done.extend(live)
+    best = max(done, key=lambda c: (c[0] / M._length_penalty(len(c[1]), alpha),
+                                    [-t for t in c[1]]))
+    return best[1], finished
+
+
+class TestBatchedBeam:
+    def test_matches_per_hypothesis_reference(self):
+        cfg = tiny_config(Variant.GLOBAL_LOCAL, block_size=4, num_global=2,
+                          decoder_global_attn=True, cross_attn_layers=(1,))
+        params = M.init_params(cfg, 9)
+        max_len = 8
+        finish_steps = set()
+        for seed in range(3):
+            ids = np.random.default_rng(seed).integers(4, 16, size=10).tolist()
+            # an eos id the decoder actually emits: the second greedy token
+            eos = M.greedy_decode(cfg, params, ids, max_len, eos_id=-1)[1]
+            for beam_size in range(1, 6):
+                for alpha in (0.0, 0.6):
+                    want, finished = reference_beam(cfg, params, ids, beam_size, alpha,
+                                                    max_len, eos)
+                    got = M.beam_decode(cfg, params, ids, beam_size, alpha, max_len, eos)
+                    assert got == want, (seed, beam_size, alpha)
+                    finish_steps |= {len(seq) for _, seq in finished}
+        assert len(finish_steps) > 2          # beams finished at different steps
+
+
+class TestGradientSweep:
+    def test_global_channel_every_entry_matches_central_difference(self):
+        # every entry of the global embeddings, the global-stream LayerNorms
+        # and the attention projections the two streams share
+        cfg = make_config(Variant.GLOBAL_LOCAL, block_size=4, num_global=2,
+                          scheme=Scheme.NONE, vocab_size=16, d_model=8, num_heads=2,
+                          d_ff=16, enc_layers=2, dec_layers=1, max_input_len=16,
+                          max_output_len=8, dropout_p=0.0)
+        params = M.init_params(cfg, 0)
+        rng = np.random.default_rng(1)
+        inp = rng.integers(4, 16, size=8).tolist()
+        tgt = rng.integers(4, 16, size=1).tolist() + [M.EOS_ID]
+        with T.Tape():
+            T.backward(M.seq2seq_loss(cfg, params, inp, tgt))
+        names = [n for n in params
+                 if n == "embed.global" or ".ln1g." in n or ".attn.w" in n]
+        assert len(names) == 1 + 2 * (2 + 4)
+        for name in names:
+            p = params[name]
+
+            def loss_at(x, name=name):
+                saved = params[name]
+                params[name] = x
+                try:
+                    return M.seq2seq_loss(cfg, params, inp, tgt)
+                finally:
+                    params[name] = saved
+
+            fd = T.finite_diff_grad(loss_at, p, h=1e-5)
+            err = np.abs(fd - p.grad) / np.maximum(np.maximum(np.abs(fd), np.abs(p.grad)), 1e-3)
+            assert err.max() < 1e-6, (name, err.max())

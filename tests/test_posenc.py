@@ -34,6 +34,9 @@ class TestSinusoidal:
                 assert abs(rs - pe[p + delta, 2 * i]) < 1e-10
                 assert abs(rc - pe[p + delta, 2 * i + 1]) < 1e-10
 
+    def test_start_offsets_rows(self):
+        assert np.array_equal(P.sinusoidal(3, 8, start=5), P.sinusoidal(8, 8)[5:])
+
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             P.sinusoidal(4, 5)
@@ -66,6 +69,12 @@ class TestLearnedAbsolute:
     def test_lookup_beyond_table_rejected(self):
         with pytest.raises(ValueError):
             P.learned_absolute(Tensor(np.zeros((16, 4))), 17)
+
+    def test_lookup_from_start(self):
+        tab = Tensor(np.arange(32.0).reshape(8, 4))
+        assert np.array_equal(P.learned_absolute(tab, 2, start=5).data, tab.data[5:7])
+        with pytest.raises(ValueError):
+            P.learned_absolute(tab, 2, start=7)
 
     def test_lookup_prefix(self):
         tab = Tensor(np.arange(12.0).reshape(6, 2))
@@ -183,6 +192,14 @@ class TestT5Bias:
         buckets = P.relative_bucket_matrix(5, 7, 32, 128, True)
         for h in range(3):
             assert np.array_equal(out.data[h], tab.data[h][buckets])
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_query_start_selects_rows(self, bidirectional):
+        rng = np.random.default_rng(8)
+        tab = Tensor(rng.standard_normal((2, 32)))
+        full = P.t5_relative_bias(7, 7, 32, 128, tab, bidirectional)
+        tail = P.t5_relative_bias(2, 7, 32, 128, tab, bidirectional, q_start=5)
+        assert np.array_equal(tail.data, full.data[:, 5:])
 
     def test_wrong_table_width_rejected(self):
         with pytest.raises(ValueError):
