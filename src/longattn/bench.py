@@ -1,6 +1,7 @@
-"""Attention scaling harness: wall time plus deterministic MAC counters.
+"""Attention scaling harness: wall time plus the closed-form score counts of
+attention_cost().
 
-Assertions are made on counters only; wall time is informational (desk
+Assertions are made on those counts only; wall time is informational (desk
 hardware varies) and never checked in CI.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as A
-from .attention import AttentionSpec, Variant, make_block_layout, mac_counter
+from .attention import AttentionSpec, Variant, make_block_layout
 from .tensor import Tensor
 
 CSV_FIELDS = ["variant", "L", "b", "g", "wall_ms", "mac_count", "score_elems",
@@ -38,7 +39,7 @@ def _run_once(spec: AttentionSpec, L: int, rng: np.random.Generator) -> None:
 
 
 def measure(spec: AttentionSpec, L: int, repeats: int = 5, seed: int = 0) -> dict:
-    """Median wall time over `repeats` after 2 warmups, plus counter totals."""
+    """Median wall time over `repeats` after 2 warmups, plus attention_cost()."""
     rng = np.random.default_rng(seed)
     for _ in range(2):
         _run_once(spec, L, rng)
@@ -47,16 +48,10 @@ def measure(spec: AttentionSpec, L: int, repeats: int = 5, seed: int = 0) -> dic
         t0 = time.perf_counter()
         _run_once(spec, L, rng)
         times.append((time.perf_counter() - t0) * 1e3)
-    mac_counter.enabled = True
-    mac_counter.reset()
-    _run_once(spec, L, rng)
-    macs, elems = mac_counter.macs, mac_counter.score_elems
-    mac_counter.enabled = False
     cost = A.attention_cost(spec, L)
-    assert macs == cost["flops"], (macs, cost)
     return {"variant": spec.variant.value, "L": L, "b": spec.block_size,
             "g": spec.num_global, "wall_ms": float(np.median(times)),
-            "mac_count": macs, "score_elems": elems}
+            "mac_count": cost["flops"], "score_elems": cost["score_mem_elems"]}
 
 
 def run_scaling(specs: list[AttentionSpec], lengths: list[int], repeats: int = 5,
@@ -92,24 +87,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     for r in rows:
         w.writerow(r)
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
-        raise ValueError(f"malformed scaling CSV; expected columns {CSV_FIELDS}")
-    rows = []
-    for rec in reader:
-        try:
-            rows.append({
-                "variant": rec["variant"], "L": int(rec["L"]), "b": int(rec["b"]),
-                "g": int(rec["g"]), "wall_ms": float(rec["wall_ms"]),
-                "mac_count": int(rec["mac_count"]), "score_elems": int(rec["score_elems"]),
-                "wall_rel": float(rec["wall_rel"]), "mac_rel": float(rec["mac_rel"]),
-                "score_rel": float(rec["score_rel"])})
-        except (KeyError, ValueError, TypeError) as e:
-            raise ValueError(f"malformed scaling CSV row: {rec}") from e
-    return rows
 
 
 @dataclass

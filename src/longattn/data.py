@@ -13,7 +13,6 @@ plus an optional "target": [ids...] for supervised tasks.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,14 +27,11 @@ QUERY_ID = 4
 FLAG_ID = 5
 FIRST_CONTENT = 6
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class SyntheticDoc:
     sentences: list          # list of lists of token ids
     char_length: int = 0
-    source_seed: int = 0
     target: list | None = None   # present for supervised task corpora
 
     def __post_init__(self):
@@ -102,20 +98,20 @@ def gen_corpus(kind: str, n_docs: int, len_dist, V: int, seed: int,
         L = int(rng.integers(lo, hi + 1))
         if kind == "copy":
             toks = _rand_tokens(rng, L, V)
-            docs.append(SyntheticDoc([toks], target=toks + [EOS_ID], source_seed=seed))
+            docs.append(SyntheticDoc([toks], target=toks + [EOS_ID]))
         elif kind == "reverse":
             toks = _rand_tokens(rng, L, V)
-            docs.append(SyntheticDoc([toks], target=toks[::-1] + [EOS_ID], source_seed=seed))
+            docs.append(SyntheticDoc([toks], target=toks[::-1] + [EOS_ID]))
         elif kind == "needle":
-            docs.append(_gen_needle(rng, L, V, needle_block, needle_decoys, seed))
+            docs.append(_gen_needle(rng, L, V, needle_block, needle_decoys))
         elif kind == "extractive-summ":
-            docs.append(_gen_extractive(rng, L, V, summ_sentences, summ_flagged, seed))
+            docs.append(_gen_extractive(rng, L, V, summ_sentences, summ_flagged))
         else:
             raise ValueError(f"unknown corpus kind '{kind}'")
     return docs
 
 
-def _gen_needle(rng, L, V, block, n_decoys, seed) -> SyntheticDoc:
+def _gen_needle(rng, L, V, block, n_decoys) -> SyntheticDoc:
     """Cross-block retrieval where block membership is the only position cue.
 
     The content vocabulary is split in half: keys in [FIRST_CONTENT, mid) and
@@ -158,10 +154,10 @@ def _gen_needle(rng, L, V, block, n_decoys, seed) -> SyntheticDoc:
         lo = B * block + 1
         for j in range(block // 2 - 2):
             toks[lo + j] = int(key) if j % 2 == 0 else int(pay)
-    return SyntheticDoc([toks], target=[v, EOS_ID], source_seed=seed)
+    return SyntheticDoc([toks], target=[v, EOS_ID])
 
 
-def _gen_extractive(rng, L, V, n_sent, n_flagged, seed) -> SyntheticDoc:
+def _gen_extractive(rng, L, V, n_sent, n_flagged) -> SyntheticDoc:
     per = max(2, L // n_sent)
     sentences = [_rand_tokens(rng, per, V) for _ in range(n_sent)]
     flagged = sorted(rng.choice(n_sent, size=min(n_flagged, n_sent), replace=False).tolist())
@@ -169,7 +165,7 @@ def _gen_extractive(rng, L, V, n_sent, n_flagged, seed) -> SyntheticDoc:
     for i in flagged:
         sentences[i] = [FLAG_ID] + sentences[i]
         target.extend(sentences[i][1:])
-    return SyntheticDoc(sentences, target=target + [EOS_ID], source_seed=seed)
+    return SyntheticDoc(sentences, target=target + [EOS_ID])
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +203,6 @@ def gsg_mask(doc: SyntheticDoc, mask_ratio: float, seed: int):
         else:
             input_ids.extend(s)
     return input_ids, target_ids
-
-
-def filter_long(corpus: list[SyntheticDoc], min_chars: int) -> list[SyntheticDoc]:
-    """Keep documents with surface length strictly above min_chars."""
-    kept = [d for d in corpus if d.char_length > min_chars]
-    if not kept:
-        log.warning("filter_long(min_chars=%d) removed every document", min_chars)
-    return kept
 
 
 # ---------------------------------------------------------------------------

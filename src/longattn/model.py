@@ -260,15 +260,14 @@ def _embed(cfg: ModelConfig, params, ids, side: str, step: int | None = None) ->
 
 
 def _enc_bias(cfg: ModelConfig, params, L: int):
-    """Encoder self-attention logit bias, by variant: full [h,L,L] or per-block [h,b,b]."""
+    """Encoder self-attention logit bias: [h, L, L] for full attention, else
+    the one [h, b, b] bias that every block shares."""
     if cfg.posenc.scheme != Scheme.T5_RELATIVE:
         return None
-    pe = cfg.posenc
-    if cfg.attention.variant == Variant.FULL:
-        return P.t5_relative_bias(L, L, pe.t5_num_buckets, pe.t5_max_distance,
-                                  params["posenc.bias_enc"], bidirectional=True)
-    return P.block_relative_bias(cfg.attention.block_size, pe.t5_num_buckets,
-                                 pe.t5_max_distance, params["posenc.bias_enc"])
+    pe, spec = cfg.posenc, cfg.attention
+    n = L if spec.variant == Variant.FULL else spec.block_size
+    return P.block_relative_bias(n, pe.t5_num_buckets, pe.t5_max_distance,
+                                 params["posenc.bias_enc"])
 
 
 def encoder_forward(cfg: ModelConfig, params, token_ids,
@@ -295,23 +294,20 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
         q = _maybe_rope(cfg, _project_heads(hx, params[p + "attn.wq"], h), pos)
         k = _maybe_rope(cfg, _project_heads(hx, params[p + "attn.wk"], h), pos)
         v = _project_heads(hx, params[p + "attn.wv"], h)
+        glob_o = None
         if spec.variant == Variant.FULL:
             attn = A.full_attention(q, k, v, bias=bias)
-            out = T.matmul(_merge_heads(attn), params[p + "attn.wo"])
-            x = T.add(x, rt.drop(out))
         elif spec.variant == Variant.BLOCK_LOCAL:
             layout = make_block_layout(L, spec.block_size, i, spec.staggered)
             attn = A.block_local_attention(q, k, v, layout, bias=bias)
-            out = T.matmul(_merge_heads(attn), params[p + "attn.wo"])
-            x = T.add(x, rt.drop(out))
         else:
             layout = make_block_layout(L, spec.block_size, i, spec.staggered)
             hg = _ln(params, p + "ln1g", glob)
-            gq = _project_heads(hg, params[p + "attn.wq"], h)
-            gk = _project_heads(hg, params[p + "attn.wk"], h)
-            gv = _project_heads(hg, params[p + "attn.wv"], h)
-            tok_o, glob_o = A.global_local_attention(q, k, v, gq, gk, gv, layout, bias=bias)
-            x = T.add(x, rt.drop(T.matmul(_merge_heads(tok_o), params[p + "attn.wo"])))
+            gq, gk, gv = (_project_heads(hg, params[p + "attn." + w], h)
+                          for w in ("wq", "wk", "wv"))
+            attn, glob_o = A.global_local_attention(q, k, v, gq, gk, gv, layout, bias=bias)
+        x = T.add(x, rt.drop(T.matmul(_merge_heads(attn), params[p + "attn.wo"])))
+        if glob_o is not None:
             glob = T.add(glob, rt.drop(T.matmul(_merge_heads(glob_o), params[p + "attn.wo"])))
         x = T.add(x, rt.drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
         if glob is not None:

@@ -141,10 +141,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -186,15 +182,6 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g * c, a.shape))
     return _record(out, (a,), backward, "mul_const")
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0))
-    return _record(out, (a,), backward, "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -340,9 +327,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x - x.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
     def backward(g):

@@ -16,14 +16,12 @@ log = logging.getLogger(__name__)
 
 class Adam:
     def __init__(self, params: dict[str, T.Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -40,9 +38,6 @@ class Adam:
             vhat = self.v[k] / corr2
             p = self.params[k]
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            # decoupled weight decay on matrix parameters only (skip gains/biases)
-            if self.weight_decay and p.data.ndim > 1:
-                p.data -= self.lr * self.weight_decay * p.data
 
 
 def _clear_grads(params):
@@ -86,15 +81,14 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
 def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
           batch_size: int, seed: int, lr: float = 1e-3, warmup: int = 100,
           log_every: int = 50, loss_log: list | None = None,
-          clip: float | None = 1.0, weight_decay: float = 0.0) -> None:
+          clip: float | None = 1.0) -> None:
     """Train for `steps` steps, sampling batches with replacement.
 
     Linear learning-rate warmup over `warmup` steps, constant afterwards;
-    gradients are clipped to global L2 norm `clip`; `weight_decay` applies
-    decoupled decay to matrix parameters.
+    gradients are clipped to global L2 norm `clip`.
     """
     rng = np.random.default_rng(seed)
-    opt = Adam(params, lr=lr, weight_decay=weight_decay)
+    opt = Adam(params, lr=lr)
     n = len(examples)
     for step in range(steps):
         idx = rng.integers(0, n, size=batch_size)

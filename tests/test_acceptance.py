@@ -11,8 +11,8 @@ each with its stated tolerance and runtime budget.
 5.  Mask-ratio scaling reference value is exact.
 6.  Checkpoint surgery: parameter deltas, vocab-row global init, cross-attn
     removal arithmetic, and position replication stability.
-7.  Instrumented MAC counters equal the closed-form cost model; quadratic vs
-    linear growth.
+7.  Score entries the kernels compute equal the closed-form cost model;
+    quadratic vs linear growth.
 8.  ROUGE implementations match brute-force oracles exactly.
 9.  Token-budget schedule arithmetic.
 10. CLI pipeline smoke test with bit-identical reruns.
@@ -33,10 +33,11 @@ from longattn import rouge as R
 from longattn import tensor as T
 from longattn import train as TR
 from longattn.attention import (AttentionSpec, Variant, attention_cost,
-                                make_block_layout, mac_counter)
+                                make_block_layout)
 from longattn.model import (count_params, decoder_forward, encoder_forward,
                             init_params, make_config, seq2seq_loss)
 from longattn.posenc import Scheme
+from score_count import softmax_entries
 
 
 def toy_config(variant, **kw):
@@ -288,9 +289,7 @@ class TestCostModel:
         rng = np.random.default_rng(0)
         h, d = spec.num_heads, spec.head_dim
         q, k, v = (T.Tensor(rng.standard_normal((h, L, d))) for _ in range(3))
-        mac_counter.enabled = True
-        mac_counter.reset()
-        try:
+        with softmax_entries() as sizes:
             if spec.variant == Variant.FULL:
                 A.full_attention(q, k, v)
             else:
@@ -304,9 +303,7 @@ class TestCostModel:
                     gq, gk, gv = (T.Tensor(rng.standard_normal((h, g, d)))
                                   for _ in range(3))
                     A.global_local_attention(q, k, v, gq, gk, gv, layout)
-            return mac_counter.macs, mac_counter.score_elems
-        finally:
-            mac_counter.enabled = False
+        return sum(sizes) * d, sum(sizes)
 
     def test_counters_equal_cost_model_on_ten_configs(self):
         t0 = time.time()

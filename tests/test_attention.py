@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from longattn import attention as A
 from longattn import tensor as T
 from longattn.attention import (AttentionSpec, Variant, attention_cost,
-                                make_block_layout, mac_counter)
+                                make_block_layout)
 from longattn.tensor import Tensor
+from score_count import softmax_entries
 
 
 def rand_qkv(rng, h, L, d):
@@ -31,6 +32,15 @@ def loop_attention(q, k, v, allow=None, bias=None):
                 w[:] = 0.0
             out[hh, i] = w @ v[hh]
     return out
+
+
+def offset_bias(rng, h, b, L):
+    """A random bias per head and key-minus-query offset: as the [h, b, b]
+    block bias that every block shares, and as the dense [h, L, L] bias (the
+    offsets beyond a block never meet, so they are clipped)."""
+    table = rng.standard_normal((h, 2 * b - 1))
+    rel = lambda n: np.clip(np.arange(n)[None, :] - np.arange(n)[:, None], 1 - b, b - 1)
+    return table[:, rel(b) + b - 1], table[:, rel(L) + b - 1]
 
 
 class TestBlockLayout:
@@ -127,6 +137,17 @@ class TestBlockLocal:
         ref = loop_attention(q.data, k.data, v.data, allow=lay.pair_mask())
         assert np.abs(out.data - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("L,layer,staggered", [(8, 0, False), (12, 0, False),
+                                                   (16, 1, True), (10, 1, True)])
+    def test_block_bias_matches_dense_oracle(self, L, layer, staggered):
+        rng = np.random.default_rng(24)
+        q, k, v = rand_qkv(rng, 2, L, 4)
+        block_bias, dense_bias = offset_bias(rng, 2, 4, L)
+        lay = make_block_layout(L, 4, layer, staggered)
+        out = A.block_local_attention(q, k, v, lay, bias=block_bias)
+        ref = loop_attention(q.data, k.data, v.data, allow=lay.pair_mask(), bias=dense_bias)
+        assert np.abs(out.data - ref).max() < 1e-10
+
     def test_length_mismatch(self):
         rng = np.random.default_rng(7)
         q, k, v = rand_qkv(rng, 2, 8, 4)
@@ -185,6 +206,23 @@ class TestGlobalLocal:
         ref_glob = loop_attention(gq.data, kcat, vcat)
         assert np.abs(tok.data - ref_tok).max() < 1e-10
         assert np.abs(glob.data - ref_glob).max() < 1e-10
+
+    @pytest.mark.parametrize("L,layer,staggered", [(12, 0, False), (10, 1, True)])
+    def test_block_bias_skips_global_keys(self, L, layer, staggered):
+        rng = np.random.default_rng(25)
+        h, g, d, b = 2, 3, 4, 4
+        tq, tk, tv = rand_qkv(rng, h, L, d)
+        gq, gk, gv = rand_qkv(rng, h, g, d)
+        block_bias, dense_bias = offset_bias(rng, h, b, L)
+        lay = make_block_layout(L, b, layer, staggered)
+        tok, glob = A.global_local_attention(tq, tk, tv, gq, gk, gv, lay, bias=block_bias)
+        kcat = np.concatenate([tk.data, gk.data], axis=1)
+        vcat = np.concatenate([tv.data, gv.data], axis=1)
+        allow = np.concatenate([lay.pair_mask(), np.ones((L, g), dtype=bool)], axis=1)
+        bias = np.concatenate([dense_bias, np.zeros((h, L, g))], axis=2)
+        ref_tok = loop_attention(tq.data, kcat, vcat, allow=allow, bias=bias)
+        assert np.abs(tok.data - ref_tok).max() < 1e-10
+        assert np.abs(glob.data - loop_attention(gq.data, kcat, vcat)).max() < 1e-10
 
     def test_weights_sum_to_one(self):
         # constant values expose the softmax normalization: output must be exactly 1
@@ -339,14 +377,10 @@ class TestAttentionCost:
         tq, tk, tv = rand_qkv(rng, 4, 256, 16)
         gq, gk, gv = rand_qkv(rng, 4, 32, 16)
         lay = make_block_layout(256, 64, 0, False)
-        mac_counter.enabled = True
-        mac_counter.reset()
-        try:
+        with softmax_entries() as sizes:
             A.global_local_attention(tq, tk, tv, gq, gk, gv, lay)
-        finally:
-            mac_counter.enabled = False
-        assert mac_counter.macs == cost["flops"]
-        assert mac_counter.score_elems == cost["score_mem_elems"]
+        assert sum(sizes) * 16 == cost["flops"]
+        assert sum(sizes) == cost["score_mem_elems"]
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -366,9 +400,7 @@ class TestAttentionCost:
         tq, tk, tv = rand_qkv(rng, h, L, d)
         # cost model uses the odd-layer (padded) frame when staggered
         lay = make_block_layout(L, b, 1 if staggered else layer, staggered)
-        mac_counter.enabled = True
-        mac_counter.reset()
-        try:
+        with softmax_entries() as sizes:
             if variant == Variant.FULL:
                 A.full_attention(tq, tk, tv)
             elif variant == Variant.BLOCK_LOCAL:
@@ -376,11 +408,9 @@ class TestAttentionCost:
             else:
                 gq, gk, gv = rand_qkv(rng, h, g, d)
                 A.global_local_attention(tq, tk, tv, gq, gk, gv, lay)
-        finally:
-            mac_counter.enabled = False
         cost = attention_cost(spec, L)
-        assert mac_counter.macs == cost["flops"]
-        assert mac_counter.score_elems == cost["score_mem_elems"]
+        assert sum(sizes) * d == cost["flops"]
+        assert sum(sizes) == cost["score_mem_elems"]
 
 
 class TestSpecValidation:

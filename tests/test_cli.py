@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -131,20 +132,19 @@ class TestBenchCommand:
                   "--set", 'bench.baseline=["block_local",512]',
                   "--set", "bench.num_heads=1", "--set", "bench.head_dim=4"])
         assert rc == 0
-        text = (tmp_path / "scaling.csv").read_text()
-        from longattn import bench as B
-        rows = B.rows_from_csv(text)
-        full = {r["L"]: r for r in rows if r["variant"] == "full"}
-        assert full[1024]["score_elems"] == 4 * full[512]["score_elems"]
+        with open(tmp_path / "scaling.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        full = {int(r["L"]): int(r["score_elems"]) for r in rows if r["variant"] == "full"}
+        assert full[1024] == 4 * full[512]
 
     def test_default_baseline_is_first_row(self, tmp_path):
         rc = run(["bench", "--out", tmp_path, "--set", "bench.repeats=1",
                   "--set", "bench.lengths=[128]", "--set", "bench.check_ordering=false",
                   "--set", "bench.num_heads=1", "--set", "bench.head_dim=4"])
         assert rc == 0
-        from longattn import bench as B
-        rows = B.rows_from_csv((tmp_path / "scaling.csv").read_text())
-        assert rows[0]["L"] == 128 and rows[0]["mac_rel"] == 1.0
+        with open(tmp_path / "scaling.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert int(rows[0]["L"]) == 128 and float(rows[0]["mac_rel"]) == 1.0
 
 
 class TestAdaptCommand:

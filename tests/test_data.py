@@ -224,28 +224,6 @@ class TestGsgMask:
         assert D.gsg_mask(d, 0.3, seed=5) == D.gsg_mask(d, 0.3, seed=5)
 
 
-class TestFilterLong:
-    def test_threshold_zero_keeps_all(self):
-        docs = D.gen_corpus("copy", 5, (4, 8), 32, seed=0)
-        assert D.filter_long(docs, 0) == docs
-
-    def test_all_short_warns_and_empties(self, caplog):
-        docs = D.gen_corpus("copy", 3, (4, 4), 32, seed=0)
-        with caplog.at_level("WARNING"):
-            out = D.filter_long(docs, 10_000)
-        assert out == []
-        assert any("removed every document" in r.message for r in caplog.records)
-
-    def test_matches_brute_force(self):
-        docs = D.gen_corpus("copy", 50, (2, 30), 32, seed=1)
-        thr = 60
-        out = D.filter_long(docs, thr)
-        assert out == [d for d in docs if d.char_length > thr]
-        # stable order
-        idx = [docs.index(d) for d in out]
-        assert idx == sorted(idx)
-
-
 class TestSchedule:
     def test_split_75_25(self):
         s = D.build_schedule("S75L25", 1024 * 64, short_len=64, long_len=512, batch=1)

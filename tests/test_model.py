@@ -1,11 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from longattn import attention as A
 from longattn import model as M
+from longattn import posenc as P
 from longattn import tensor as T
 from longattn import train as TR
 from longattn.attention import AttentionSpec, Variant
@@ -265,6 +267,109 @@ class TestLoss:
         win = [float(np.mean(vals[i:i + 20])) for i in range(0, 500, 20)]
         assert all(b <= a + 0.05 for a, b in zip(win, win[1:]))
         assert win[-1] < win[0] - 0.5
+
+
+def dense_encoder_attention(cfg, params):
+    """Reference for every encoder attention variant, to stand in for the
+    `attention` module inside `model`: full_attention over the concatenated
+    [L + g] token and global stream. Token pairs are allowed where
+    BlockLayout.pair_mask() says so (everywhere for full attention); globals
+    see and are seen by every position. The bias is the dense T5 bias on token
+    pairs and zero wherever a global takes part."""
+    full = A.full_attention
+
+    def attend(tq, tk, tv, gq=None, gk=None, gv=None, layout=None):
+        L = tq.shape[1]
+        g = 0 if gq is None else gq.shape[1]
+        allow = np.ones((1, L + g, L + g), dtype=bool)
+        if layout is not None:
+            allow[0, :L, :L] = layout.pair_mask()
+        bias = None
+        if cfg.posenc.scheme == Scheme.T5_RELATIVE:
+            pe = cfg.posenc
+            bias = P.t5_relative_bias(L, L, pe.t5_num_buckets, pe.t5_max_distance,
+                                      params["posenc.bias_enc"], bidirectional=True)
+            bias = T.pad_axis(T.pad_axis(bias, 1, 0, g), 2, 0, g)
+        if g == 0:
+            return full(tq, tk, tv, mask=allow, bias=bias)
+        q, k, v = (T.concat([t, gt], axis=1) for t, gt in ((tq, gq), (tk, gk), (tv, gv)))
+        out = full(q, k, v, mask=allow, bias=bias)
+        return T.narrow(out, 1, 0, L), T.narrow(out, 1, L, g)
+
+    return SimpleNamespace(**{
+        **vars(A),
+        "full_attention": lambda q, k, v, mask=None, bias=None: attend(q, k, v),
+        "block_local_attention":
+            lambda q, k, v, layout, bias=None: attend(q, k, v, layout=layout),
+        "global_local_attention":
+            lambda tq, tk, tv, gq, gk, gv, layout, bias=None:
+                attend(tq, tk, tv, gq, gk, gv, layout),
+    })
+
+
+ENCODER_VARIANTS = {
+    "full": dict(variant=Variant.FULL),
+    "block_local": dict(variant=Variant.BLOCK_LOCAL, block_size=4),
+    "staggered": dict(variant=Variant.BLOCK_LOCAL, block_size=4, staggered=True),
+    "global_local": dict(variant=Variant.GLOBAL_LOCAL, block_size=4, num_global=2),
+    "staggered_global_local": dict(variant=Variant.GLOBAL_LOCAL, block_size=4,
+                                   num_global=3, staggered=True),
+}
+
+
+class TestDenseEncoderOracle:
+    """Every encoder variant equals the dense reference, forward and in every
+    parameter gradient, under every position scheme."""
+
+    @staticmethod
+    def setup(vkw, scheme, L):
+        vkw = dict(vkw)
+        cfg = make_config(vkw.pop("variant"), scheme=scheme, vocab_size=16, d_model=8,
+                          num_heads=2, d_ff=16, enc_layers=2, dec_layers=1,
+                          max_input_len=16, max_output_len=8, dropout_p=0.0, **vkw)
+        params = M.init_params(cfg, 0)
+        rng = np.random.default_rng(L)
+        for name in ("posenc.bias_enc", "posenc.bias_dec"):   # zero at init
+            if name in params:
+                params[name].data[:] = rng.standard_normal(params[name].shape)
+        inp = rng.integers(4, 16, size=L).tolist()
+        tgt = rng.integers(4, 16, size=3).tolist() + [M.EOS_ID]
+        return cfg, params, inp, tgt
+
+    @staticmethod
+    def run(cfg, params, inp, tgt):
+        for p in params.values():
+            p.grad = None
+        with T.Tape():
+            loss = M.seq2seq_loss(cfg, params, inp, tgt)
+            T.backward(loss)
+        tok, glob = M.encoder_forward(cfg, params, inp)
+        states = tok.data if glob is None else np.concatenate([tok.data, glob.data])
+        return loss.item(), states, {n: p.grad for n, p in params.items()}
+
+    @pytest.mark.parametrize("L", [8, 12, 16])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("variant", list(ENCODER_VARIANTS))
+    def test_matches_dense_reference(self, variant, scheme, L, monkeypatch):
+        cfg, params, inp, tgt = self.setup(ENCODER_VARIANTS[variant], scheme, L)
+        loss, states, grads = self.run(cfg, params, inp, tgt)
+        monkeypatch.setattr(M, "A", dense_encoder_attention(cfg, params))
+        ref_loss, ref_states, ref_grads = self.run(cfg, params, inp, tgt)
+        assert abs(loss - ref_loss) < 1e-12
+        assert np.abs(states - ref_states).max() < 1e-12
+        for name, g in grads.items():
+            assert np.abs(g - ref_grads[name]).max() < 1e-12, name
+
+    @pytest.mark.parametrize("variant", ["block_local", "global_local"])
+    def test_t5_local_encoder_loss(self, variant, monkeypatch):
+        # L=12, b=4: three blocks against two heads. The per-block bias was
+        # once added without a block axis, which raised a ShapeError here.
+        cfg, params, inp, tgt = self.setup(ENCODER_VARIANTS[variant],
+                                           Scheme.T5_RELATIVE, 12)
+        assert cfg.num_heads == 2
+        loss = M.seq2seq_loss(cfg, params, inp, tgt).item()
+        monkeypatch.setattr(M, "A", dense_encoder_attention(cfg, params))
+        assert abs(loss - M.seq2seq_loss(cfg, params, inp, tgt).item()) < 1e-12
 
 
 class TestDecoding:
