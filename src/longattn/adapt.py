@@ -13,12 +13,13 @@ not about.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .tensor import Tensor
-from .model import ModelConfig, param_shapes, count_params
+from .model import ModelConfig, param_shapes
 from .attention import AttentionSpec, Variant
 from .posenc import Scheme, replicate
 
@@ -117,22 +118,13 @@ def load(path, cfg: ModelConfig | None = None) -> tuple[ModelConfig, dict[str, T
 # ---------------------------------------------------------------------------
 # surgeries
 
-def _with_attention(cfg: ModelConfig, spec: AttentionSpec) -> ModelConfig:
-    d = cfg.to_dict()
-    d["attention"] = {
-        "variant": spec.variant.value, "block_size": spec.block_size,
-        "num_global": spec.num_global, "staggered": spec.staggered,
-        "num_heads": spec.num_heads, "head_dim": spec.head_dim}
-    return ModelConfig.from_dict(d)
-
-
 def port_to_local(ckpt: Checkpoint, new_attn: AttentionSpec) -> Checkpoint:
     """Swap the attention spec to BlockLocal; dense projections carry over."""
     if new_attn.variant != Variant.BLOCK_LOCAL:
         raise CheckpointError(f"port_to_local needs a BlockLocal spec, got {new_attn.variant}")
     if ckpt.config.attention.variant == Variant.GLOBAL_LOCAL:
         raise CheckpointError("source already has global parameters; cannot port to plain local")
-    cfg = _with_attention(ckpt.config, new_attn)
+    cfg = replace(ckpt.config, attention=new_attn)
     return Checkpoint(cfg, dict(ckpt.arrays))
 
 
@@ -147,7 +139,7 @@ def port_to_global_local(ckpt: Checkpoint, new_attn: AttentionSpec, rng_seed: in
         raise CheckpointError(f"port_to_global_local needs a GlobalLocal spec, got {new_attn.variant}")
     if ckpt.config.attention.variant == Variant.GLOBAL_LOCAL:
         raise CheckpointError("source already has global parameters")
-    cfg = _with_attention(ckpt.config, new_attn)
+    cfg = replace(ckpt.config, attention=new_attn)
     rng = np.random.default_rng(rng_seed)
     vocab = ckpt.arrays["embed.tok"]
     rows = rng.integers(0, vocab.shape[0], size=new_attn.num_global)
@@ -169,9 +161,7 @@ def replicate_positions(ckpt: Checkpoint, new_max_len: int) -> Checkpoint:
     old = ckpt.config.max_input_len
     if new_max_len < old:
         raise CheckpointError(f"new_max_len {new_max_len} < current {old}")
-    d = ckpt.config.to_dict()
-    d["max_input_len"] = new_max_len
-    cfg = ModelConfig.from_dict(d)
+    cfg = replace(ckpt.config, max_input_len=new_max_len)
     new_arrays = dict(ckpt.arrays)
     new_arrays["embed.pos_enc"] = replicate(
         np.asarray(ckpt.arrays["embed.pos_enc"]), new_max_len)
@@ -187,9 +177,7 @@ def drop_cross_attention(ckpt: Checkpoint, keep_layers) -> Checkpoint:
     if not set(keep) <= set(existing):
         raise CheckpointError(
             f"keep_layers {keep} not a subset of existing cross layers {existing}")
-    d = ckpt.config.to_dict()
-    d["cross_attn_layers"] = list(keep)
-    cfg = ModelConfig.from_dict(d)
+    cfg = replace(ckpt.config, cross_attn_layers=keep)
     dropped = set(existing) - set(keep)
     new_arrays = {
         name: arr for name, arr in ckpt.arrays.items()

@@ -6,8 +6,10 @@ its artifacts plus a run.json (resolved config + seed + git describe) under
 --out. Re-running a subcommand from a run.json reproduces artifacts
 bit-identically.
 
-Exit codes: 0 ok, 2 config error, 3 numeric error (NaN/Inf), 4 acceptance
-failure.
+Values from a file or --set must have the JSON type of their default. Exit
+codes: 0 ok, 2 bad input (any ValueError or OSError: a bad config value, file
+or record), 3 numeric error (NaN/Inf), 4 acceptance failure; `main` is the one
+place that maps exceptions to them, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import adapt as AD
 from . import bench as B
 from . import data as D
@@ -29,7 +29,6 @@ from . import rouge as R
 from . import train as TR
 from .attention import AttentionSpec, Variant, make_block_layout
 from .model import ModelConfig, beam_decode, greedy_decode, init_params
-from .posenc import Scheme
 
 
 class ConfigError(ValueError):
@@ -82,50 +81,56 @@ DEFAULTS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
+def _check_type(key: str, default, value) -> None:
+    """`value` must have the JSON type of `default`: a float key also takes an
+    int, an int key takes no bool, and a null default takes anything."""
+    if default is None:
+        return
+    kinds = (float, int) if type(default) is float else (type(default),)
+    if type(value) not in kinds:
+        raise ConfigError(f"config key '{key}' must be {type(default).__name__}, "
+                          f"got {json.dumps(value)}")
+    if type(default) is list and default:
+        for item in value:
+            _check_type(key, default[0], item)
+
+
 def _merge_checked(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key '{here}'")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = _merge_checked(base[key], val, here)
-        else:
-            out[key] = val
+        _check_type(here, base[key], val)
+        out[key] = _merge_checked(base[key], val, here) if isinstance(base[key], dict) else val
     return out
 
 
-def _parse_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
-def _apply_set(cfg: dict, assignment: str) -> None:
+def _parse_set(assignment: str) -> dict:
+    """'a.b=v' -> {"a": {"b": v}}, with v parsed as JSON where it parses."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got '{assignment}'")
     key, raw = assignment.split("=", 1)
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key '{key}'")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key '{key}'")
-    node[parts[-1]] = _parse_value(raw)
+    try:
+        override = json.loads(raw)
+    except json.JSONDecodeError:
+        override = raw
+    for part in reversed(key.split(".")):
+        override = {part: override}
+    return override
 
 
 def resolve_config(command: str, config_path: str | None, sets: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULTS[command])
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
-        if "command" in loaded and "config" in loaded:   # a run.json
-            loaded = loaded["config"]
+        if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
+            loaded = loaded["config"]                    # a run.json
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{config_path} must hold a JSON object")
         cfg = _merge_checked(cfg, loaded)
     for s in sets:
-        _apply_set(cfg, s)
+        cfg = _merge_checked(cfg, _parse_set(s))
     return cfg
 
 
@@ -145,17 +150,10 @@ def write_run_json(out: Path, command: str, cfg: dict, seed: int) -> None:
          "git": _git_describe()}, indent=1))
 
 
-def _model_from_cfg(cfg: dict) -> ModelConfig:
-    try:
-        return ModelConfig.from_dict(cfg["model"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"bad model config: {e}") from e
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(cfg: dict, out: Path, seed: int) -> int:
+def cmd_gen_data(cfg: dict, out: Path, seed: int, args) -> int:
     d = cfg["data"]
     docs = D.gen_corpus(d["kind"], d["n_docs"], (d["len_min"], d["len_max"]),
                         d["vocab_size"], seed + d["seed_offset"],
@@ -166,8 +164,8 @@ def cmd_gen_data(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: dict, out: Path, seed: int) -> int:
-    mcfg = _model_from_cfg(cfg)
+def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
+    mcfg = ModelConfig.from_dict(cfg["model"])
     sc = cfg["schedule"]
     schedule = D.build_schedule(sc["shape"], sc["total_budget"], sc["short_len"],
                                 sc["long_len"], batch=sc["batch"],
@@ -209,51 +207,57 @@ def _write_loss_csv(path: Path, losses: list) -> None:
             f.write(f"{step},{loss:.10g}\n")
 
 
-def cmd_adapt(cfg: dict, out: Path, seed: int, ckpt_path: str) -> int:
-    if not ckpt_path:
+# the keys each surgery op needs besides "op", each mapped to an example of
+# the JSON type its value must have
+SURGERY_KEYS = {"local": {"block_size": 0}, "global_local": {"block_size": 0, "num_global": 0},
+                "replicate_positions": {"new_max_len": 0}, "drop_cross": {"keep_layers": [0]}}
+
+
+def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
+    if not args.ckpt:
         raise ConfigError("adapt needs --ckpt")
-    ckpt = AD.Checkpoint.load_dir(ckpt_path)
+    ckpt = AD.Checkpoint.load_dir(args.ckpt)
     for op in cfg["surgery"]["chain"]:
-        op = dict(op)
-        name = op.pop("op", None)
+        if not isinstance(op, dict):
+            raise ConfigError(f"surgery.chain entries are objects, got {json.dumps(op)}")
+        name = str(op.get("op"))
+        if name not in SURGERY_KEYS:
+            raise ConfigError(f"unknown surgery op '{name}'")
+        for key, example in SURGERY_KEYS[name].items():
+            if key not in op:
+                raise ConfigError(f"surgery op '{name}' needs '{key}'")
+            _check_type(f"{name}.{key}", example, op[key])
+        staggered = op.get("staggered", False)
+        _check_type(f"{name}.staggered", False, staggered)
         src = ckpt.config.attention
         if name == "local":
-            spec = AttentionSpec(Variant.BLOCK_LOCAL, op["block_size"], 0,
-                                 op.get("staggered", False),
+            spec = AttentionSpec(Variant.BLOCK_LOCAL, op["block_size"], 0, staggered,
                                  src.num_heads, src.head_dim)
             ckpt = AD.port_to_local(ckpt, spec)
         elif name == "global_local":
             spec = AttentionSpec(Variant.GLOBAL_LOCAL, op["block_size"],
-                                 op["num_global"], op.get("staggered", False),
+                                 op["num_global"], staggered,
                                  src.num_heads, src.head_dim)
             ckpt = AD.port_to_global_local(ckpt, spec, rng_seed=seed)
         elif name == "replicate_positions":
             ckpt = AD.replicate_positions(ckpt, op["new_max_len"])
-        elif name == "drop_cross":
-            ckpt = AD.drop_cross_attention(ckpt, op["keep_layers"])
         else:
-            raise ConfigError(f"unknown surgery op '{name}'")
+            ckpt = AD.drop_cross_attention(ckpt, op["keep_layers"])
     ckpt.save(out / "ckpt")
     print(f"adapted checkpoint written to {out / 'ckpt'}")
     return 0
 
 
-def _load_pairs(path: str):
-    docs = D.read_jsonl(path)
-    return TR.docs_to_pairs(docs)
-
-
-def cmd_finetune(cfg: dict, out: Path, seed: int, ckpt_path: str,
-                 data_path: str) -> int:
-    data_path = data_path or cfg["data"]["path"]
+def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
+    data_path = args.data or cfg["data"]["path"]
     if not data_path:
         raise ConfigError("finetune needs --data (or data.path in config)")
-    if ckpt_path:
-        mcfg, params = AD.load(ckpt_path)
+    if args.ckpt:
+        mcfg, params = AD.load(args.ckpt)
     else:
-        mcfg = _model_from_cfg(cfg)
+        mcfg = ModelConfig.from_dict(cfg["model"])
         params = init_params(mcfg, seed)
-    pairs = _load_pairs(data_path)
+    pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
     tr = cfg["train"]
     losses: list = []
     TR.train(mcfg, params, pairs, tr["steps"], tr["batch"], seed,
@@ -265,29 +269,25 @@ def cmd_finetune(cfg: dict, out: Path, seed: int, ckpt_path: str,
     return 0
 
 
-def cmd_eval(cfg: dict, out: Path, seed: int, ckpt_path: str,
-             data_path: str) -> int:
-    if not ckpt_path:
+def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
+    if not args.ckpt:
         raise ConfigError("eval needs --ckpt")
-    data_path = data_path or cfg["data"]["path"]
+    data_path = args.data or cfg["data"]["path"]
     if not data_path:
         raise ConfigError("eval needs --data (or data.path in config)")
     dc = cfg["decode"]
-    if not isinstance(dc["beam_size"], int) or dc["beam_size"] < 1:
+    if dc["beam_size"] < 1:
         raise ConfigError(f"decode.beam_size must be >= 1, got {dc['beam_size']}")
-    mcfg, params = AD.load(ckpt_path)
-    pairs = _load_pairs(data_path)
+    mcfg, params = AD.load(args.ckpt)
+    pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
     outputs = []
-    try:
-        for inp, tgt in pairs:
-            if dc["beam_size"] > 1:
-                hyp = beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"],
-                                  dc["max_len"])
-            else:
-                hyp = greedy_decode(mcfg, params, inp, dc["max_len"])
-            outputs.append((hyp, tgt))
-    except ValueError as e:
-        raise ConfigError(f"decode: {e}") from e
+    for inp, tgt in pairs:
+        if dc["beam_size"] > 1:
+            hyp = beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"],
+                              dc["max_len"])
+        else:
+            hyp = greedy_decode(mcfg, params, inp, dc["max_len"])
+        outputs.append((hyp, tgt))
     report = R.corpus_report(outputs, use_lsum_for_rg=cfg["use_lsum_for_rg"])
     em = sum(1 for h, t in outputs if list(h) == list(t)) / len(outputs)
     with open(out / "rouge.csv", "w") as f:
@@ -301,7 +301,7 @@ def cmd_eval(cfg: dict, out: Path, seed: int, ckpt_path: str,
     return 0
 
 
-def cmd_bench(cfg: dict, out: Path, seed: int) -> int:
+def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
     bc = cfg["bench"]
     h, hd = bc["num_heads"], bc["head_dim"]
     specs = []
@@ -311,12 +311,9 @@ def cmd_bench(cfg: dict, out: Path, seed: int) -> int:
             v, bc["block_size"],
             bc["num_global"] if v == Variant.GLOBAL_LOCAL else 0,
             False, h, hd))
-    try:
-        baseline = None if bc["baseline"] is None else tuple(bc["baseline"])
-        rows = B.run_scaling(specs, bc["lengths"], repeats=bc["repeats"],
-                             baseline=baseline, seed=seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    baseline = None if bc["baseline"] is None else tuple(bc["baseline"])
+    rows = B.run_scaling(specs, bc["lengths"], repeats=bc["repeats"],
+                         baseline=baseline, seed=seed)
     (out / "scaling.csv").write_text(B.rows_to_csv(rows))
     print(B.rows_to_csv(rows))
     if bc["check_ordering"]:
@@ -327,7 +324,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_dump_mask(cfg: dict, out: Path, seed: int) -> int:
+def cmd_dump_mask(cfg: dict, out: Path, seed: int, args) -> int:
     mc = cfg["mask"]
     layout = make_block_layout(mc["L"], mc["block_size"], mc["layer"],
                                mc["staggered"])
@@ -345,10 +342,15 @@ def cmd_dump_mask(cfg: dict, out: Path, seed: int) -> int:
 
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"gen-data": cmd_gen_data, "pretrain": cmd_pretrain, "adapt": cmd_adapt,
+            "finetune": cmd_finetune, "eval": cmd_eval, "bench": cmd_bench,
+            "dump-mask": cmd_dump_mask}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="longattn")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in DEFAULTS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--set", action="append", default=[], dest="sets",
@@ -370,29 +372,14 @@ def main(argv: list[str] | None = None) -> int:
         if seed is None:
             seed = int(os.environ.get("LONGATTN_SEED", "0"))
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_run_json(out, args.command, cfg, seed)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg, out, seed)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, out, seed)
-        if args.command == "adapt":
-            return cmd_adapt(cfg, out, seed, args.ckpt)
-        if args.command == "finetune":
-            return cmd_finetune(cfg, out, seed, args.ckpt, args.data)
-        if args.command == "eval":
-            return cmd_eval(cfg, out, seed, args.ckpt, args.data)
-        if args.command == "bench":
-            return cmd_bench(cfg, out, seed)
-        if args.command == "dump-mask":
-            return cmd_dump_mask(cfg, out, seed)
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, AD.CheckpointError, FileNotFoundError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command](cfg, out, seed, args)
     except FloatingPointError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as e:           # the input's fault, not the program's
+        print(f"error: {e}".replace("\n", " "), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,15 +6,17 @@ Token-id conventions (closed synthetic vocabulary):
     4 = QUERY (needle task query marker), 5 = FLAG (extractive-summ marker).
 Content tokens occupy [FIRST_CONTENT, V).
 
-Corpora serialize as JSON-lines: {"sentences": [[ids...]...], "chars": n}
-plus an optional "target": [ids...] for supervised tasks.
+Corpora serialize as JSON-lines, one document per line:
+    {"sentences": [[ids...], ...], "target": [ids...]}
+where "target" is present only for supervised tasks. Readers ignore other
+fields, such as the "chars" count that older corpora carry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,29 +33,20 @@ FIRST_CONTENT = 6
 @dataclass
 class SyntheticDoc:
     sentences: list          # list of lists of token ids
-    char_length: int = 0
     target: list | None = None   # present for supervised task corpora
 
     def __post_init__(self):
         if not self.sentences:
             raise ValueError("a document needs at least one sentence")
-        if self.char_length == 0:
-            self.char_length = surface_length(self.sentences)
 
     def flat(self) -> list:
         return [t for s in self.sentences for t in s]
 
 
-def surface_length(sentences) -> int:
-    """Characters of the toy surface form: token id rendered as 't<id>',
-    space-separated."""
-    return sum(len(f"t{t}") + 1 for s in sentences for t in s)
-
-
 def write_jsonl(docs: list[SyntheticDoc], path) -> None:
     with open(path, "w") as f:
         for d in docs:
-            rec = {"sentences": d.sentences, "chars": d.char_length}
+            rec = {"sentences": d.sentences}
             if d.target is not None:
                 rec["target"] = d.target
             f.write(json.dumps(rec) + "\n")
@@ -61,10 +54,14 @@ def write_jsonl(docs: list[SyntheticDoc], path) -> None:
 
 def read_jsonl(path) -> list[SyntheticDoc]:
     docs = []
-    for line in Path(path).read_text().splitlines():
-        rec = json.loads(line)
-        docs.append(SyntheticDoc(rec["sentences"], rec["chars"],
-                                 target=rec.get("target")))
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} line {n} is not JSON: {e}") from None
+        if not isinstance(rec, dict) or "sentences" not in rec:
+            raise ValueError(f"{path} line {n} has no \"sentences\"")
+        docs.append(SyntheticDoc(rec["sentences"], target=rec.get("target")))
     return docs
 
 
@@ -91,8 +88,10 @@ def gen_corpus(kind: str, n_docs: int, len_dist, V: int, seed: int,
     """
     if V <= FIRST_CONTENT + 1:
         raise ValueError(f"vocab size {V} leaves no content tokens")
-    rng = np.random.default_rng(seed)
     lo, hi = len_dist
+    if lo > hi:
+        raise ValueError(f"minimum length {lo} exceeds maximum length {hi}")
+    rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n_docs):
         L = int(rng.integers(lo, hi + 1))
@@ -247,6 +246,8 @@ def build_schedule(shape: str, total_budget: int, short_len: int, long_len: int,
     if shape not in SCHEDULE_SHAPES:
         raise ValueError(f"unknown schedule shape '{shape}' "
                          f"(choose from {sorted(SCHEDULE_SHAPES)})")
+    if min(batch, short_len, long_len) < 1:
+        raise ValueError(f"batch and lengths must be >= 1, got {batch}, {short_len}, {long_len}")
     phases = []
     consumed = 0
     parts = SCHEDULE_SHAPES[shape]

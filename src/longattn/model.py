@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -83,6 +83,7 @@ class ModelConfig:
         att["variant"] = Variant(att["variant"])
         pe = dict(d.pop("posenc"))
         pe["scheme"] = Scheme(pe["scheme"])
+        pe.pop("learned_max_len", None)      # in checkpoints from before its removal
         d["cross_attn_layers"] = tuple(d.get("cross_attn_layers", ()))
         return cls(attention=AttentionSpec(**att), posenc=PosEncConfig(**pe), **d)
 
@@ -99,9 +100,7 @@ def make_config(variant=Variant.FULL, *, block_size=64, num_global=0, staggered=
     spec = AttentionSpec(variant=variant, block_size=block_size,
                          num_global=num_global, staggered=staggered,
                          num_heads=num_heads, head_dim=d_model // num_heads)
-    pe = kw.pop("posenc", None)
-    if pe is None:
-        pe = PosEncConfig(scheme=scheme, learned_max_len=kw.get("max_input_len", 512))
+    pe = kw.pop("posenc", None) or PosEncConfig(scheme=scheme)
     return ModelConfig(d_model=d_model, num_heads=num_heads, attention=spec,
                        posenc=pe, **kw)
 
@@ -227,18 +226,6 @@ def _ffn(params, prefix: str, x: Tensor) -> Tensor:
     return T.matmul(T.gelu(T.matmul(x, params[prefix + ".w1"])), params[prefix + ".w2"])
 
 
-class _Runtime:
-    """Per-forward context: dropout rng, training flag."""
-
-    def __init__(self, cfg: ModelConfig, training: bool, rng: np.random.Generator | None):
-        self.cfg = cfg
-        self.training = training
-        self.rng = rng
-
-    def drop(self, x: Tensor) -> Tensor:
-        return T.dropout(x, self.cfg.dropout_p, self.training, self.rng)
-
-
 def _maybe_rope(cfg: ModelConfig, x: Tensor, positions) -> Tensor:
     if cfg.posenc.scheme == Scheme.ROPE:
         return P.rope_apply(x, positions, cfg.posenc.sinusoidal_factor)
@@ -278,7 +265,7 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
         raise ValueError("encoder input must be non-empty")
     if L > cfg.max_input_len:
         raise ValueError(f"input length {L} exceeds max_input_len {cfg.max_input_len}")
-    rt = _Runtime(cfg, training, rng)
+    drop = lambda x: T.dropout(x, cfg.dropout_p, training, rng)
     spec = cfg.attention
     h = cfg.num_heads
     pos = np.arange(L)
@@ -306,12 +293,12 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
             gq, gk, gv = (_project_heads(hg, params[p + "attn." + w], h)
                           for w in ("wq", "wk", "wv"))
             attn, glob_o = A.global_local_attention(q, k, v, gq, gk, gv, layout, bias=bias)
-        x = T.add(x, rt.drop(T.matmul(_merge_heads(attn), params[p + "attn.wo"])))
+        x = T.add(x, drop(T.matmul(_merge_heads(attn), params[p + "attn.wo"])))
         if glob_o is not None:
-            glob = T.add(glob, rt.drop(T.matmul(_merge_heads(glob_o), params[p + "attn.wo"])))
-        x = T.add(x, rt.drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
+            glob = T.add(glob, drop(T.matmul(_merge_heads(glob_o), params[p + "attn.wo"])))
+        x = T.add(x, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
         if glob is not None:
-            glob = T.add(glob, rt.drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", glob))))
+            glob = T.add(glob, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", glob))))
 
     x = _ln(params, "enc.final_ln", x)
     if glob is not None:
@@ -394,7 +381,7 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         raise ValueError(f"output length {Td} exceeds max_output_len {cfg.max_output_len}")
     if cfg.decoder_global_attn and enc_glob is None:
         raise ValueError("decoder_global_attn set but no global states supplied")
-    rt = _Runtime(cfg, training, rng)
+    drop = lambda x: T.dropout(x, cfg.dropout_p, training, rng)
     h = cfg.num_heads
     xl = cfg.cross_layers()
 
@@ -430,7 +417,7 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         if state is not None:
             k, v = state.append(i, k, v)
         attn = A.causal_self_attention(q, k, v, bias=dec_bias)
-        x = T.add(x, rt.drop(T.matmul(merge(attn), params[p + "self.wo"])))
+        x = T.add(x, drop(T.matmul(merge(attn), params[p + "self.wo"])))
 
         if i in xl:
             gk, gv, ck, cv = (state.cross[i] if state is not None
@@ -439,13 +426,13 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
                 hq = _ln(params, p + "gx.ln", x)
                 gq = _project_heads(hq, params[p + "gx.wq"], h)
                 gx = A.global_cross_attention(gq, gk, gv)
-                x = T.add(x, rt.drop(T.matmul(_merge_heads(gx), params[p + "gx.wo"])))
+                x = T.add(x, drop(T.matmul(_merge_heads(gx), params[p + "gx.wo"])))
             hq = _ln(params, p + "cross.ln", x)
             cq = _maybe_rope(cfg, _project_heads(hq, params[p + "cross.wq"], h), qpos)
             cx = A.cross_attention(cq, ck, cv)
-            x = T.add(x, rt.drop(T.matmul(_merge_heads(cx), params[p + "cross.wo"])))
+            x = T.add(x, drop(T.matmul(_merge_heads(cx), params[p + "cross.wo"])))
 
-        x = T.add(x, rt.drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
+        x = T.add(x, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
 
     if state is not None:
         state.t += 1

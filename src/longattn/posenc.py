@@ -34,7 +34,6 @@ class PosEncConfig:
     sinusoidal_factor: float = 10000.0
     t5_num_buckets: int = 32
     t5_max_distance: int = 128
-    learned_max_len: int = 512
 
     def __post_init__(self):
         if self.sinusoidal_factor <= 1:

@@ -76,9 +76,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         # copy-on-write: keep the first contribution by reference, copy only
         # if a second one arrives (fan-out)
@@ -253,11 +250,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
@@ -418,11 +410,12 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward / finite differences
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Run reverse-mode accumulation from a scalar loss.
+def backward(loss: Tensor) -> None:
+    """Run reverse-mode accumulation from a scalar loss; a tape runs it once.
 
-    Returns a map id(tensor) -> grad for every tensor that received one;
-    gradients are also left on each tensor's .grad field.
+    Every tensor on a path to the loss that requires grad, parameters
+    included, has its gradient added to .grad (callers clear .grad between
+    passes). Nothing is returned.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -434,16 +427,10 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     tape.consumed = True
 
     loss.grad = np.array(1.0)
-    grads: dict[int, np.ndarray] = {}
     for node in reversed(tape.nodes):
         if node.grad is None or node._backward is None:
             continue
         node._backward(node.grad)
-    for node in tape.nodes:
-        for p in node._parents:
-            if p.grad is not None:
-                grads[id(p)] = p.grad
-    return grads
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:

@@ -87,6 +87,10 @@ def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
     Linear learning-rate warmup over `warmup` steps, constant afterwards;
     gradients are clipped to global L2 norm `clip`.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if not examples:
+        raise ValueError("no training examples")
     rng = np.random.default_rng(seed)
     opt = Adam(params, lr=lr)
     n = len(examples)

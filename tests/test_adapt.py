@@ -98,6 +98,20 @@ class TestRoundTrip:
             AD.load(tmp_path / "g", cfg=drifted)
         AD.load(tmp_path / "g", cfg=cfg)   # matching config passes
 
+    def test_config_with_learned_max_len_loads(self, tmp_path):
+        # checkpoints written before the key's removal carry it in config.json
+        cfg = cfg_full()
+        params = M.init_params(cfg, 0)
+        AD.save(cfg, params, tmp_path / "old")
+        path = tmp_path / "old" / "config.json"
+        d = json.loads(path.read_text())
+        d["posenc"]["learned_max_len"] = 512
+        path.write_text(json.dumps(d, indent=1))
+        cfg2, params2 = AD.load(tmp_path / "old", cfg=cfg)   # hashes match
+        assert "learned_max_len" not in cfg2.to_dict()["posenc"]
+        assert all(np.array_equal(params2[k].data, params[k].data.astype("<f4"))
+                   for k in params)
+
 
 class TestPortToLocal:
     def test_params_byte_identical(self):

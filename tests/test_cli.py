@@ -231,3 +231,116 @@ class TestEvalCommand:
         rc = run(self.make_run(tmp_path) + ["--set", f"decode.beam_size={beam_size}"])
         assert rc == 2
         assert "decode.beam_size" in capsys.readouterr().err
+
+
+def tiny_ckpt(path):
+    from longattn import adapt as AD
+    from longattn import model as M
+    from longattn.attention import Variant
+    cfg = M.make_config(Variant.FULL, vocab_size=16, d_model=16, num_heads=2,
+                        d_ff=32, enc_layers=1, dec_layers=1,
+                        max_input_len=32, max_output_len=8)
+    AD.save(cfg, M.init_params(cfg, 0), path)
+    return path
+
+
+class TestInputContract:
+    """Every bad value, file or input record exits 2 with one stderr line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        run(["gen-data", "--out", tmp_path / "g", "--set", "data.n_docs=4"])
+        truncated = tiny_ckpt(tmp_path / "trunc")
+        blob = truncated / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:100])
+        paths = {"CORPUS": tmp_path / "g" / "corpus.jsonl", "CKPT": tiny_ckpt(tmp_path / "ck"),
+                 "TRUNC": truncated}
+        texts = {"BAD_CONFIG": '{"data": {"n_docs": 3', "EMPTY": "", "NO_SENTENCES": "{}\n",
+                 "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n'}
+        for name, text in texts.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        return paths
+
+    CASES = {
+        "kind-bogus": ["gen-data", "--set", "data.kind=bogus"],
+        "n-docs-string": ["gen-data", "--set", 'data.n_docs="x"'],
+        "len-min-above-max": ["gen-data", "--set", "data.len_min=20", "--set", "data.len_max=4"],
+        "malformed-config": ["gen-data", "--config", "BAD_CONFIG"],
+        "batch-zero": ["finetune", "--data", "CORPUS", "--set", "train.batch=0"],
+        "lr-string": ["finetune", "--data", "CORPUS", "--set", 'train.lr="x"'],
+        "empty-corpus": ["finetune", "--data", "EMPTY"],
+        "record-without-sentences": ["finetune", "--data", "NO_SENTENCES"],
+        "record-not-json": ["finetune", "--data", "NOT_JSON"],
+        "document-without-target": ["finetune", "--data", "NO_TARGET"],
+        "truncated-params": ["eval", "--ckpt", "TRUNC", "--data", "CORPUS"],
+        "mask-length-zero": ["dump-mask", "--set", "mask.L=0"],
+        "budget-not-whole-steps": ["pretrain", "--set", "schedule.total_budget=1000"],
+        "surgery-missing-key": ["adapt", "--ckpt", "CKPT",
+                                "--set", 'surgery.chain=[{"op": "local"}]'],
+        "surgery-entry-not-object": ["adapt", "--ckpt", "CKPT", "--set", "surgery.chain=[5]"],
+        "surgery-value-type": ["adapt", "--ckpt", "CKPT",
+                               "--set", 'surgery.chain=[{"op": "local", "block_size": "x"}]'],
+        "surgery-staggered-type": ["adapt", "--ckpt", "CKPT", "--set",
+                                   'surgery.chain=[{"op": "local", "block_size": 8, "staggered": [1]}]'],
+        "schedule-batch-zero": ["pretrain", "--set", "schedule.batch=0"],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):
+        cmd, *rest = [files.get(a, a) for a in self.CASES[case]]
+        capsys.readouterr()
+        rc = run([cmd, "--out", tmp_path / "out"] + rest)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("assignment, key", [
+        ("data.n_docs=true", "data.n_docs"),          # an int key takes no bool
+        ("data.kind=3", "data.kind"),
+        ("data=5", "data"),
+        ("data.n_docs.x=1", "data.n_docs"),
+    ])
+    def test_type_error_names_the_key(self, assignment, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            resolve_config("gen-data", None, [assignment])
+
+    def test_type_check_accepts_int_for_float_and_anything_for_null(self):
+        cfg = resolve_config("finetune", None, ["train.lr=1", "model.dropout_p=0"])
+        assert cfg["train"]["lr"] == 1 and cfg["model"]["dropout_p"] == 0
+        cfg = resolve_config("bench", None, ['bench.baseline=["full",256]'])
+        assert cfg["bench"]["baseline"] == ["full", 256]
+
+    def test_list_items_checked_against_default_items(self):
+        with pytest.raises(ConfigError, match="bench.lengths"):
+            resolve_config("bench", None, ['bench.lengths=[256,"x"]'])
+
+    def test_config_file_values_are_type_checked(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"data": {"vocab_size": 6.5}}))
+        with pytest.raises(ConfigError, match="data.vocab_size"):
+            resolve_config("gen-data", str(p), [])
+
+    def test_numeric_error_still_exits_3(self, tmp_path, capsys):
+        run(["gen-data", "--out", tmp_path / "g", "--set", "data.n_docs=2"])
+        rc = run(["finetune", "--out", tmp_path / "f", "--data", tmp_path / "g" / "corpus.jsonl",
+                  "--set", "train.steps=3", "--set", "train.warmup=1",
+                  "--set", "train.lr=1e308"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric error: ")
+
+
+class TestPretrainCommand:
+    def test_writes_checkpoint_and_loss_and_reruns_identically(self, tmp_path):
+        rc = run(["pretrain", "--out", tmp_path / "a", "--seed", 3,
+                  "--set", "schedule.shape=S100", "--set", "schedule.total_budget=1024"])
+        assert rc == 0
+        a = tmp_path / "a"
+        assert (a / "ckpt_final" / "params.bin").exists()
+        rows = (a / "loss.csv").read_text().splitlines()
+        assert rows[0] == "step,loss" and len(rows) == 1 + 1024 // (2 * 16)
+        rc = run(["pretrain", "--out", tmp_path / "b", "--seed", 3,
+                  "--config", a / "run.json"])
+        assert rc == 0
+        for name in ("ckpt_final/params.bin", "ckpt_final/manifest.json", "loss.csv"):
+            assert (a / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -114,14 +114,6 @@ class TestCorpusGenerators:
 
 
 class TestSurfaceAndIO:
-    def test_surface_length_formula(self):
-        # "t7 t12 t3 " -> each token renders as 't<id>' plus one separator
-        assert D.surface_length([[7, 12, 3]]) == len("t7 ") + len("t12 ") + len("t3 ")
-
-    def test_char_length_autofilled(self):
-        d = D.SyntheticDoc([[6, 7], [8]])
-        assert d.char_length == D.surface_length([[6, 7], [8]])
-
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
             D.SyntheticDoc([])
@@ -133,7 +125,26 @@ class TestSurfaceAndIO:
         back = D.read_jsonl(p)
         assert [d.sentences for d in back] == [d.sentences for d in docs]
         assert [d.target for d in back] == [d.target for d in docs]
-        assert [d.char_length for d in back] == [d.char_length for d in docs]
+
+    def test_old_chars_field_is_ignored(self, tmp_path):
+        # corpora written before the field's removal carry a "chars" count
+        p = tmp_path / "old.jsonl"
+        p.write_text('{"sentences": [[6, 7], [8]], "chars": 9, "target": [8, 2]}\n')
+        (doc,) = D.read_jsonl(p)
+        assert doc.sentences == [[6, 7], [8]] and doc.target == [8, 2]
+
+    @pytest.mark.parametrize("line, why", [("{}", 'no "sentences"'),
+                                           ("[1]", 'no "sentences"'),
+                                           ("xx", "not JSON")])
+    def test_bad_record_names_its_line(self, tmp_path, line, why):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"sentences": [[6]]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"line 2 (has|is) {why}"):
+            D.read_jsonl(p)
+
+    def test_inverted_length_range_rejected(self):
+        with pytest.raises(ValueError, match="exceeds maximum length"):
+            D.gen_corpus("copy", 2, (20, 4), 32, seed=0)
 
 
 class TestMaskRatio:
