@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Three-stage pipeline demo: gap-sentence pretraining on short inputs, then
 checkpoint surgery to a longer-input global-local architecture, then a short
-fine-tune — all via the CLI so every stage leaves a reproducible run.json.
+fine-tune, evaluated with greedy and beam-4 decoding — all via the CLI so
+every stage leaves a reproducible run.json.
 
 Usage:
     python3 scripts/pretrain_adapt_finetune.py [--out runs/pipeline]
@@ -60,6 +61,10 @@ def main():
          "--ckpt", out / "finetune" / "ckpt",
          "--data", out / "data" / "corpus.jsonl",
          "--set", "decode.max_len=33"])
+    run(["eval", "--out", out / "eval-beam4", "--seed", args.seed,
+         "--ckpt", out / "finetune" / "ckpt",
+         "--data", out / "data" / "corpus.jsonl",
+         "--set", "decode.max_len=33", "--set", "decode.beam_size=4"])
     print(f"pipeline artifacts under {out}/")
 
 

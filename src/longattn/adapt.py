@@ -78,6 +78,10 @@ class Checkpoint:
             shape = tuple(meta["shape"])
             n = int(np.prod(shape)) if shape else 1
             off = meta["offset"]
+            if not 0 <= off <= len(blob) - 4 * n:
+                raise CheckpointError(
+                    f"parameter '{name}' ({4 * n} bytes at offset {off}) runs past the "
+                    f"end of {path / 'params.bin'} ({len(blob)} bytes)")
             arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
         return cls(config, arrays)
 
@@ -178,14 +182,4 @@ def drop_cross_attention(ckpt: Checkpoint, keep_layers) -> Checkpoint:
         raise CheckpointError(
             f"keep_layers {keep} not a subset of existing cross layers {existing}")
     cfg = replace(ckpt.config, cross_attn_layers=keep)
-    dropped = set(existing) - set(keep)
-    new_arrays = {
-        name: arr for name, arr in ckpt.arrays.items()
-        if not _is_cross_param(name, dropped)}
-    return Checkpoint(cfg, {name: new_arrays[name] for name in param_shapes(cfg)})
-
-
-def _is_cross_param(name: str, dropped_layers: set) -> bool:
-    parts = name.split(".")
-    return (len(parts) >= 3 and parts[0] == "dec" and parts[1].isdigit()
-            and int(parts[1]) in dropped_layers and parts[2] in ("cross", "gx"))
+    return Checkpoint(cfg, {name: ckpt.arrays[name] for name in param_shapes(cfg)})

@@ -303,6 +303,18 @@ def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
 
 def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
     bc = cfg["bench"]
+    bl, lengths = bc["baseline"], bc["lengths"]
+    if bl is not None and not (isinstance(bl, list) and len(bl) == 2
+                               and isinstance(bl[0], str) and type(bl[1]) is int):
+        raise ConfigError(f"config key 'bench.baseline' must be null or [variant, L], "
+                          f"got {json.dumps(bl)}")
+    if not lengths or min(lengths) < 1:
+        raise ConfigError(f"config key 'bench.lengths' must list lengths >= 1, "
+                          f"got {json.dumps(lengths)}")
+    if not bc["variants"]:
+        raise ConfigError("config key 'bench.variants' must name at least one variant")
+    if bc["repeats"] < 1:
+        raise ConfigError(f"config key 'bench.repeats' must be >= 1, got {bc['repeats']}")
     h, hd = bc["num_heads"], bc["head_dim"]
     specs = []
     for name in bc["variants"]:
@@ -311,9 +323,8 @@ def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
             v, bc["block_size"],
             bc["num_global"] if v == Variant.GLOBAL_LOCAL else 0,
             False, h, hd))
-    baseline = None if bc["baseline"] is None else tuple(bc["baseline"])
-    rows = B.run_scaling(specs, bc["lengths"], repeats=bc["repeats"],
-                         baseline=baseline, seed=seed)
+    rows = B.run_scaling(specs, lengths, repeats=bc["repeats"],
+                         baseline=None if bl is None else tuple(bl), seed=seed)
     (out / "scaling.csv").write_text(B.rows_to_csv(rows))
     print(B.rows_to_csv(rows))
     if bc["check_ordering"]:

@@ -232,17 +232,16 @@ def _maybe_rope(cfg: ModelConfig, x: Tensor, positions) -> Tensor:
     return x
 
 
-def _embed(cfg: ModelConfig, params, ids, side: str, step: int | None = None) -> Tensor:
-    """Scaled token embeddings plus absolute positions: ids sit at positions
-    0 .. len(ids) - 1, or all at position `step` when it is given."""
+def _embed(cfg: ModelConfig, params, ids, side: str, start: int, n: int) -> Tensor:
+    """Scaled token embeddings plus absolute positions start .. start + n - 1:
+    ids is one sequence of n tokens, or with n == 1 one token per sequence."""
     x = T.scale(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
-    start, L = (0, len(ids)) if step is None else (step, 1)
     sch = cfg.posenc.scheme
     if sch == Scheme.SINUSOIDAL:
-        x = T.add_const(x, P.sinusoidal(L, cfg.d_model, cfg.posenc.sinusoidal_factor, start))
+        x = T.add_const(x, P.sinusoidal(n, cfg.d_model, cfg.posenc.sinusoidal_factor, start))
     elif sch == Scheme.LEARNED_ABSOLUTE:
         table = params["embed.pos_enc" if side == "enc" else "embed.pos_dec"]
-        x = T.add(x, P.learned_absolute(table, L, start))
+        x = T.add(x, P.learned_absolute(table, n, start))
     return x
 
 
@@ -270,7 +269,7 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
     h = cfg.num_heads
     pos = np.arange(L)
 
-    x = _embed(cfg, params, token_ids, "enc")
+    x = _embed(cfg, params, token_ids, "enc", 0, L)
     glob = (T.scale(params["embed.global"], cfg.d_model ** 0.5)
             if spec.variant == Variant.GLOBAL_LOCAL else None)
     bias = _enc_bias(cfg, params, L)
@@ -307,24 +306,24 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
 
 
 class DecodeState:
-    """What one decoding request keeps between decoder steps (inference only:
-    the caches hold no tape).
+    """The caches a decoding request keeps between decoder passes; a
+    teacher-forced pass makes a fresh one.
 
     `cross` maps each layer in cfg.cross_layers() to its cross-attention K/V
-    (gk, gv, ck, cv), projected from the encoder states on the first step and
-    shared by every hypothesis; gk/gv are None without decoder_global_attn.
-    `self_kv` maps each decoder layer to its self-attention (k, v) so far,
-    each [batch * h, t, hd]: the hypotheses are folded into the head axis.
+    (gk, gv, ck, cv), projected from the encoder states when that layer first
+    runs; gk/gv are None without decoder_global_attn. `self_kv` maps each
+    decoder layer to its self-attention (k, v) so far: [h, t, hd] for one
+    sequence, [batch * h, t, hd] with the hypotheses folded into the heads.
     """
 
     def __init__(self):
         self.t = 0            # positions decoded so far
-        self.batch = 0        # live hypotheses: set by the first step and by reorder
-        self.cross: dict | None = None
+        self.batch = 0        # sequences: set by the first pass and by reorder
+        self.cross: dict[int, tuple] = {}
         self.self_kv: dict[int, tuple[Tensor, Tensor]] = {}
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Add one position's K/V for `layer`; returns the whole cache."""
+        """Add the new positions' K/V for `layer`; returns the whole cache."""
         if layer in self.self_kv:
             k0, v0 = self.self_kv[layer]
             k, v = T.concat([k0, k], axis=1), T.concat([v0, v], axis=1)
@@ -333,8 +332,6 @@ class DecodeState:
 
     def reorder(self, parents) -> None:
         """Make hypothesis parents[j] the new hypothesis j (beam search)."""
-        parents = np.asarray(parents, dtype=np.int64)
-
         def gather(x: Tensor) -> Tensor:
             n, t, hd = x.shape
             per_hyp = x.data.reshape(self.batch, n // self.batch, t, hd)
@@ -344,69 +341,52 @@ class DecodeState:
         self.batch = len(parents)
 
 
-def _cross_kv(cfg: ModelConfig, params, i: int, enc_tok: Tensor, enc_glob):
-    """Decoder layer i's keys and values over the encoder output: (gk, gv, ck, cv)."""
-    p, h = f"dec.{i}.", cfg.num_heads
-    gk = gv = None
-    if cfg.decoder_global_attn:
-        gk = _project_heads(enc_glob, params[p + "gx.wk"], h)
-        gv = _project_heads(enc_glob, params[p + "gx.wv"], h)
-    ck = _maybe_rope(cfg, _project_heads(enc_tok, params[p + "cross.wk"], h),
-                     np.arange(enc_tok.shape[0]))
-    cv = _project_heads(enc_tok, params[p + "cross.wv"], h)
-    return gk, gv, ck, cv
-
-
 def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
                     training: bool = False, rng: np.random.Generator | None = None,
                     state: DecodeState | None = None) -> Tensor:
-    """Decoder pass.
-
-    Without `state` it is teacher-forced over the prefix `out_ids` and returns
-    logits [T, vocab]. Training uses this path, and it is the reference the
-    incremental path is tested against.
-
-    With a DecodeState, `out_ids` holds the newest token of each of B
-    hypotheses, all at position state.t. The first call projects the
-    cross-attention K/V of the encoder states into the state; every call
-    appends one self-attention K/V position per layer and advances state.t.
-    Returns logits [B, vocab].
+    """One pass over B sequences of n new positions from position state.t;
+    returns logits [B * n, vocab]. Without `state` it is teacher forcing:
+    `out_ids` is one sequence (B = 1, n = len(out_ids)) on a fresh state.
+    With a DecodeState it is one incremental step: `out_ids` holds the newest
+    token of each of B hypotheses (n = 1). The new self-attention K/V go into
+    the state, and each cross layer fills in its K/V the first time it runs.
     """
-    n = len(out_ids)
-    if n < 1:
+    if len(out_ids) < 1:
         raise ValueError("decoder input must be non-empty")
-    t0 = 0 if state is None else state.t
-    Td = n if state is None else t0 + 1
-    if Td > cfg.max_output_len:
-        raise ValueError(f"output length {Td} exceeds max_output_len {cfg.max_output_len}")
+    if state is None:
+        state, B, n = DecodeState(), 1, len(out_ids)
+    else:
+        B, n = len(out_ids), 1
+    if state.batch and B != state.batch:
+        raise ValueError(f"decode state holds {state.batch} hypotheses, got {B} tokens")
+    t0 = state.t
+    if t0 + n > cfg.max_output_len:
+        raise ValueError(f"output length {t0 + n} exceeds max_output_len {cfg.max_output_len}")
     if cfg.decoder_global_attn and enc_glob is None:
         raise ValueError("decoder_global_attn set but no global states supplied")
     drop = lambda x: T.dropout(x, cfg.dropout_p, training, rng)
     h = cfg.num_heads
     xl = cfg.cross_layers()
+    pos = np.arange(t0, t0 + n)
+    qpos = np.tile(pos, B)                 # the cross queries' rows are B x n
 
-    if state is None:
-        pos = qpos = np.arange(n)
-        heads, merge = (lambda a: _split_heads(a, h)), _merge_heads
-        x = _embed(cfg, params, out_ids, "dec")
-    else:
-        if state.batch and n != state.batch:
-            raise ValueError(f"decode state holds {state.batch} hypotheses, got {n} tokens")
-        if state.cross is None:
-            state.cross = {i: _cross_kv(cfg, params, i, enc_tok, enc_glob) for i in xl}
-        state.batch = n
-        pos, qpos = np.array([t0]), np.full(n, t0)
-        heads = lambda a: T.reshape(a, (n * h, 1, cfg.head_dim))
-        merge = lambda a: T.reshape(a, (n, cfg.d_model))
-        x = _embed(cfg, params, out_ids, "dec", step=t0)
+    x = _embed(cfg, params, out_ids, "dec", t0, n)
     dec_bias = None
     if cfg.posenc.scheme == Scheme.T5_RELATIVE:
         pe = cfg.posenc
-        dec_bias = P.t5_relative_bias(len(pos), Td, pe.t5_num_buckets, pe.t5_max_distance,
+        dec_bias = P.t5_relative_bias(n, t0 + n, pe.t5_num_buckets, pe.t5_max_distance,
                                       params["posenc.bias_dec"], bidirectional=False,
                                       q_start=t0)
-        if state is not None:
-            dec_bias = T.concat([dec_bias] * n, axis=0)      # one copy per hypothesis
+    # One position per sequence: a reshape folds the B hypotheses into the
+    # heads, [B * h, 1, hd]; a general head split would add ops to every step.
+    if n == 1:
+        heads = lambda a: T.reshape(a, (B * h, 1, cfg.head_dim))
+        merge = lambda a: T.reshape(a, (B, cfg.d_model))
+        if dec_bias is not None:
+            dec_bias = T.concat([dec_bias] * B, axis=0)      # one copy per hypothesis
+    else:
+        heads, merge = (lambda a: _split_heads(a, h)), _merge_heads
+    state.batch = B
 
     for i in range(cfg.dec_layers):
         p = f"dec.{i}."
@@ -414,14 +394,21 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         q = _maybe_rope(cfg, heads(T.matmul(hx, params[p + "self.wq"])), pos)
         k = _maybe_rope(cfg, heads(T.matmul(hx, params[p + "self.wk"])), pos)
         v = heads(T.matmul(hx, params[p + "self.wv"]))
-        if state is not None:
-            k, v = state.append(i, k, v)
+        k, v = state.append(i, k, v)
         attn = A.causal_self_attention(q, k, v, bias=dec_bias)
         x = T.add(x, drop(T.matmul(merge(attn), params[p + "self.wo"])))
 
         if i in xl:
-            gk, gv, ck, cv = (state.cross[i] if state is not None
-                              else _cross_kv(cfg, params, i, enc_tok, enc_glob))
+            if i not in state.cross:
+                gk = gv = None
+                if cfg.decoder_global_attn:
+                    gk = _project_heads(enc_glob, params[p + "gx.wk"], h)
+                    gv = _project_heads(enc_glob, params[p + "gx.wv"], h)
+                ck = _maybe_rope(cfg, _project_heads(enc_tok, params[p + "cross.wk"], h),
+                                 np.arange(enc_tok.shape[0]))
+                cv = _project_heads(enc_tok, params[p + "cross.wv"], h)
+                state.cross[i] = (gk, gv, ck, cv)
+            gk, gv, ck, cv = state.cross[i]
             if gk is not None:
                 hq = _ln(params, p + "gx.ln", x)
                 gq = _project_heads(hq, params[p + "gx.wq"], h)
@@ -434,8 +421,7 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
 
         x = T.add(x, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
 
-    if state is not None:
-        state.t += 1
+    state.t += n
     x = _ln(params, "dec.final_ln", x)
     if cfg.tie_embeddings:
         return T.matmul(x, T.transpose(params["embed.tok"], (1, 0)))
@@ -457,40 +443,17 @@ def seq2seq_loss(cfg: ModelConfig, params, input_ids, target_ids,
 # ---------------------------------------------------------------------------
 # decoding
 
-def _check_decode_len(cfg: ModelConfig, max_len: int) -> None:
-    if max_len > cfg.max_output_len:
-        raise ValueError(f"max_len {max_len} exceeds max_output_len {cfg.max_output_len}")
-
-
-def greedy_decode(cfg: ModelConfig, params, input_ids, max_len: int,
-                  eos_id: int = EOS_ID) -> list[int]:
-    _check_decode_len(cfg, max_len)
-    enc_tok, enc_glob = encoder_forward(cfg, params, input_ids)
-    state = DecodeState()
-    out: list[int] = []
-    tok = BOS_ID
-    for _ in range(max_len):
-        logits = decoder_forward(cfg, params, [tok], enc_tok, enc_glob, state=state)
-        tok = int(np.argmax(logits.data[0]))
-        out.append(tok)
-        if tok == eos_id:
-            break
-    return out
-
-
 def _length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def beam_decode(cfg: ModelConfig, params, input_ids, beam_size: int,
-                alpha: float = 0.0, max_len: int = 32, eos_id: int = EOS_ID) -> list[int]:
-    """Beam search with (5+len)/6 length normalization; beam 1 == greedy.
-
-    The live hypotheses run as one batch of one decoder step each.
-    """
-    if beam_size < 1:
-        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
-    _check_decode_len(cfg, max_len)
+def _search(cfg: ModelConfig, params, input_ids, width: int, alpha: float,
+            max_len: int, eos_id: int) -> list[int]:
+    """Beam search; the live hypotheses run as one batch of decoder steps."""
+    if width < 1:
+        raise ValueError(f"beam_size must be >= 1, got {width}")
+    if max_len > cfg.max_output_len:
+        raise ValueError(f"max_len {max_len} exceeds max_output_len {cfg.max_output_len}")
     enc_tok, enc_glob = encoder_forward(cfg, params, input_ids)
     state = DecodeState()
     live: list[tuple[float, list[int]]] = [(0.0, [])]   # (sum logprob, tokens)
@@ -502,7 +465,7 @@ def beam_decode(cfg: ModelConfig, params, input_ids, beam_size: int,
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         cand: list[tuple[float, list[int], int]] = []   # (.., .., parent hypothesis)
         for b, (lp, seq) in enumerate(live):
-            for tid in np.argsort(-logp[b], kind="stable")[:beam_size]:
+            for tid in np.argsort(-logp[b], kind="stable")[:width]:
                 cand.append((lp + float(logp[b, tid]), seq + [int(tid)], b))
         cand.sort(key=lambda c: (-c[0] / _length_penalty(len(c[1]), alpha),
                                  c[1]))
@@ -513,7 +476,7 @@ def beam_decode(cfg: ModelConfig, params, input_ids, beam_size: int,
             else:
                 live.append((lp, seq))
                 parents.append(b)
-            if len(live) >= beam_size:
+            if len(live) >= width:
                 break
         if not live:
             break
@@ -522,3 +485,15 @@ def beam_decode(cfg: ModelConfig, params, input_ids, beam_size: int,
     best = max(done, key=lambda c: (c[0] / _length_penalty(len(c[1]), alpha),
                                     [-t for t in c[1]]))
     return best[1]
+
+
+def greedy_decode(cfg: ModelConfig, params, input_ids, max_len: int,
+                  eos_id: int = EOS_ID) -> list[int]:
+    """Beam search of width 1: the most likely token at each step."""
+    return _search(cfg, params, input_ids, 1, 0.0, max_len, eos_id)
+
+
+def beam_decode(cfg: ModelConfig, params, input_ids, beam_size: int,
+                alpha: float = 0.0, max_len: int = 32, eos_id: int = EOS_ID) -> list[int]:
+    """Beam search with (5+len)/6 length normalization; beam 1 == greedy."""
+    return _search(cfg, params, input_ids, beam_size, alpha, max_len, eos_id)

@@ -43,16 +43,8 @@ def rouge_n(cand, ref, n: int) -> Score:
 
 
 def lcs_len(a, b) -> int:
-    """Classic O(n*m) longest-common-subsequence length."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    """Longest-common-subsequence length."""
+    return len(_lcs_indices(a, b))
 
 
 def rouge_l(cand, ref) -> Score:

@@ -69,6 +69,21 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError, match="version"):
             Checkpoint.load_dir(tmp_path / "v")
 
+    def test_blob_too_short_names_parameter(self, tmp_path):
+        cfg = cfg_full()
+        AD.save(cfg, M.init_params(cfg, 0), tmp_path / "t")
+        blob = tmp_path / "t" / "params.bin"
+        names = list(json.loads((tmp_path / "t" / "manifest.json").read_text())["params"])
+        blob.write_bytes(blob.read_bytes()[:-4])           # truncated params.bin
+        with pytest.raises(CheckpointError, match=f"'{names[-1]}'.*params.bin"):
+            Checkpoint.load_dir(tmp_path / "t")
+        AD.save(cfg, M.init_params(cfg, 0), tmp_path / "m")
+        m = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        m["params"][names[0]]["offset"] = (tmp_path / "m" / "params.bin").stat().st_size
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(m))
+        with pytest.raises(CheckpointError, match=f"'{names[0]}'.*params.bin"):
+            Checkpoint.load_dir(tmp_path / "m")
+
     def test_hand_built_manifest_fixture(self, tmp_path):
         # three tiny arrays laid out by hand; load must reproduce them exactly
         p = tmp_path / "fix"

@@ -284,7 +284,17 @@ class TestInputContract:
         "surgery-staggered-type": ["adapt", "--ckpt", "CKPT", "--set",
                                    'surgery.chain=[{"op": "local", "block_size": 8, "staggered": [1]}]'],
         "schedule-batch-zero": ["pretrain", "--set", "schedule.batch=0"],
+        "bench-baseline-not-pair": ["bench", "--set", "bench.baseline=5"],
+        "bench-length-zero": ["bench", "--set", "bench.lengths=[0]"],
+        "bench-no-lengths": ["bench", "--set", "bench.lengths=[]"],
+        "bench-no-variants": ["bench", "--set", "bench.variants=[]"],
+        "bench-repeats-zero": ["bench", "--set", "bench.repeats=0"],
     }
+    # what the message of some cases must name
+    NAMED = {"truncated-params": "params.bin",
+             "bench-baseline-not-pair": "'bench.baseline'",
+             "bench-length-zero": "'bench.lengths'", "bench-no-lengths": "'bench.lengths'",
+             "bench-no-variants": "'bench.variants'", "bench-repeats-zero": "'bench.repeats'"}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):
@@ -294,6 +304,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+        assert self.NAMED.get(case, "") in err
 
     @pytest.mark.parametrize("assignment, key", [
         ("data.n_docs=true", "data.n_docs"),          # an int key takes no bool

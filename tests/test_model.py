@@ -395,6 +395,36 @@ class TestDecoding:
             b = M.beam_decode(cfg, params, ids, beam_size=1, alpha=0.0, max_len=6)
             assert g == b
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("encoder", [
+        dict(),
+        dict(variant=Variant.GLOBAL_LOCAL, block_size=4, num_global=2, staggered=True),
+        dict(variant=Variant.GLOBAL_LOCAL, block_size=4, num_global=2, staggered=True,
+             decoder_global_attn=True, cross_attn_layers=(1,)),
+    ])
+    def test_greedy_is_teacher_forced_argmax(self, scheme, encoder):
+        cfg = tiny_config(scheme=scheme, tie_embeddings=False, **encoder)
+        params = M.init_params(cfg, 0)
+        # Damped decoder branches and an output projection that sends each
+        # token's embedding to the id 5 on: untrained, greedy would repeat one token.
+        for k in params:
+            if k.startswith("dec.") and k.endswith(("wo", "w2")):
+                params[k] = Tensor(0.6 * params[k].data)
+        params["out_proj"] = Tensor(np.roll(params["embed.tok"].data.T, 5, axis=1))
+        if scheme == Scheme.T5_RELATIVE:     # nonzero bias rows
+            rng = np.random.default_rng(2)
+            for k in ("posenc.bias_enc", "posenc.bias_dec"):
+                params[k] = Tensor(rng.standard_normal(params[k].shape))
+        ids = np.random.default_rng(0).integers(4, 16, size=12).tolist()
+        full = M.greedy_decode(cfg, params, ids, max_len=8, eos_id=-1)
+        eos = max(full, key=full.index)      # the emitted id that first shows up last
+        out = M.greedy_decode(cfg, params, ids, max_len=8, eos_id=eos)
+        assert out == full[:full.index(eos) + 1] and len(out) >= 4
+        enc_tok, enc_glob = M.encoder_forward(cfg, params, ids)
+        logits = M.decoder_forward(cfg, params, [M.BOS_ID] + out[:-1], enc_tok, enc_glob).data
+        picked = logits[np.arange(len(out)), out]
+        assert np.all(picked >= logits.max(axis=-1) - 1e-9)
+
     def test_beam_size_zero_rejected(self):
         cfg = tiny_config()
         params = M.init_params(cfg, 0)
