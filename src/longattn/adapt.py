@@ -40,7 +40,7 @@ class Checkpoint:
     @classmethod
     def from_params(cls, config: ModelConfig, params: dict[str, Tensor]) -> "Checkpoint":
         expect = param_shapes(config)
-        _check_inventory(expect, {k: v.shape for k, v in params.items()})
+        _check_inventory(expect, {k: v.shape for k, v in params.items()}, "params")
         return cls(config, {k: params[k].data for k in expect})
 
     def to_params(self) -> dict[str, Tensor]:
@@ -65,37 +65,69 @@ class Checkpoint:
 
     @classmethod
     def load_dir(cls, path) -> "Checkpoint":
+        """Read a checkpoint; malformed metadata, or parameters other than
+        param_shapes(config), is a CheckpointError naming the file and key."""
         path = Path(path)
-        manifest = json.loads((path / "manifest.json").read_text())
+        mpath, cpath, bpath = path / "manifest.json", path / "config.json", path / "params.bin"
+        manifest = json.loads(mpath.read_text())
+        entries = manifest.get("params") if isinstance(manifest, dict) else None
+        if not isinstance(entries, dict):
+            raise CheckpointError(f"{mpath} needs an object 'params'")
         if manifest.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint format version {manifest.get('format_version')} "
                 f"!= supported {FORMAT_VERSION}")
-        config = ModelConfig.from_dict(json.loads((path / "config.json").read_text()))
-        blob = (path / "params.bin").read_bytes()
+        raw = json.loads(cpath.read_text())
+        _check_json(ModelConfig().to_dict(), raw, cpath, "")
+        config = ModelConfig.from_dict(raw)
+        blob = bpath.read_bytes()
         arrays = {}
-        for name, meta in manifest["params"].items():
-            shape = tuple(meta["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            off = meta["offset"]
+        for name, meta in entries.items():
+            shape = meta.get("shape") if isinstance(meta, dict) else None
+            if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+                raise CheckpointError(f"{mpath}: 'shape' of '{name}' must list ints >= 0")
+            off, n = meta.get("offset"), int(np.prod(shape))
+            if type(off) is not int:
+                raise CheckpointError(f"{mpath}: 'offset' of '{name}' must be an int")
             if not 0 <= off <= len(blob) - 4 * n:
                 raise CheckpointError(
                     f"parameter '{name}' ({4 * n} bytes at offset {off}) runs past the "
-                    f"end of {path / 'params.bin'} ({len(blob)} bytes)")
+                    f"end of {bpath} ({len(blob)} bytes)")
             arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
+        _check_inventory(param_shapes(config), {k: a.shape for k, a in arrays.items()}, mpath)
         return cls(config, arrays)
 
 
-def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple]) -> None:
+def _check_json(want, got, file: Path, key: str) -> None:
+    """`got` has the JSON type of `want` (a float also takes an int), list
+    items that of want's first item, and an object exactly want's keys."""
+    if type(got) not in ((float, int) if type(want) is float else (type(want),)):
+        raise CheckpointError(f"{file}: '{key or 'config'}' must be {type(want).__name__}, "
+                              f"got {json.dumps(got)}")
+    if type(want) is list:
+        for item in got:
+            _check_json(want[0], item, file, key)
+    if type(want) is dict:
+        path = f"{key}." if key else ""
+        for k in got:
+            if k not in want and path + k != "posenc.learned_max_len":   # from_dict drops it
+                raise CheckpointError(f"{file} has unknown key '{path + k}'")
+        for k in want:
+            if k not in got:
+                raise CheckpointError(f"{file} lacks key '{path + k}'")
+            _check_json(want[k], got[k], file, path + k)
+
+
+def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple], source) -> None:
     for name, shape in expect.items():
         if name not in got:
-            raise CheckpointError(f"missing parameter '{name}'")
+            raise CheckpointError(f"{source} lacks parameter '{name}'")
         if tuple(got[name]) != tuple(shape):
-            raise CheckpointError(
-                f"parameter '{name}' has shape {tuple(got[name])}, config requires {tuple(shape)}")
+            raise CheckpointError(f"{source}: parameter '{name}' has shape "
+                                  f"{tuple(got[name])}, config requires {tuple(shape)}")
     extra = set(got) - set(expect)
     if extra:
-        raise CheckpointError(f"unexpected parameters: {sorted(extra)}")
+        raise CheckpointError(f"{source} has unexpected parameters: {sorted(extra)}")
 
 
 def save(model_config: ModelConfig, params: dict[str, Tensor], path) -> Checkpoint:
@@ -115,7 +147,6 @@ def load(path, cfg: ModelConfig | None = None) -> tuple[ModelConfig, dict[str, T
         raise CheckpointError(
             "supplied config does not match the checkpoint's stored config "
             f"(hash {cfg.hash()[:12]} vs {ckpt.config.hash()[:12]})")
-    _check_inventory(param_shapes(ckpt.config), {k: v.shape for k, v in ckpt.arrays.items()})
     return ckpt.config, ckpt.to_params()
 
 

@@ -49,8 +49,8 @@ class AttentionSpec:
     def __post_init__(self):
         if self.num_heads < 1 or self.head_dim < 1:
             raise ValueError("num_heads and head_dim must be positive")
-        if self.variant == Variant.BLOCK_LOCAL and self.block_size < 1:
-            raise ValueError("BlockLocal needs block_size >= 1")
+        if self.variant != Variant.FULL and self.block_size < 1:
+            raise ValueError(f"{self.variant.value} attention needs block_size >= 1")
         if self.variant == Variant.GLOBAL_LOCAL and self.num_global < 1:
             raise ValueError("GlobalLocal needs num_global >= 1")
         if self.staggered and self.variant == Variant.FULL:

@@ -28,7 +28,7 @@ from . import data as D
 from . import rouge as R
 from . import train as TR
 from .attention import AttentionSpec, Variant, make_block_layout
-from .model import ModelConfig, beam_decode, greedy_decode, init_params
+from .model import ModelConfig, beam_decode, init_params
 
 
 class ConfigError(ValueError):
@@ -64,7 +64,6 @@ DEFAULTS: dict[str, dict] = {
     "eval": {
         "decode": {"beam_size": 1, "alpha": 0.0, "max_len": 32},
         "data": {"path": ""},
-        "use_lsum_for_rg": False,
     },
     "bench": {
         "bench": {"lengths": [256, 512, 1024], "block_size": 64, "num_global": 32,
@@ -280,15 +279,9 @@ def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
         raise ConfigError(f"decode.beam_size must be >= 1, got {dc['beam_size']}")
     mcfg, params = AD.load(args.ckpt)
     pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
-    outputs = []
-    for inp, tgt in pairs:
-        if dc["beam_size"] > 1:
-            hyp = beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"],
-                              dc["max_len"])
-        else:
-            hyp = greedy_decode(mcfg, params, inp, dc["max_len"])
-        outputs.append((hyp, tgt))
-    report = R.corpus_report(outputs, use_lsum_for_rg=cfg["use_lsum_for_rg"])
+    outputs = [(beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"], dc["max_len"]),
+                tgt) for inp, tgt in pairs]
+    report = R.corpus_report(outputs)
     em = sum(1 for h, t in outputs if list(h) == list(t)) / len(outputs)
     with open(out / "rouge.csv", "w") as f:
         f.write("r1,r2,rl,rlsum,rg\n")

@@ -22,10 +22,7 @@ from . import attention as A
 from .tensor import Tensor
 from .attention import AttentionSpec, Variant, make_block_layout
 from .posenc import PosEncConfig, Scheme
-
-PAD_ID = 1
-EOS_ID = 2
-BOS_ID = 3
+from .data import PAD_ID, EOS_ID, BOS_ID
 
 
 @dataclass(frozen=True)

@@ -106,13 +106,12 @@ def rope_apply(x: Tensor, positions, factor: float = 10000.0) -> Tensor:
     out = Tensor(out_arr)
 
     def backward(g):
-        if x.requires_grad:
-            g0 = g[..., 0::2]
-            g1 = g[..., 1::2]
-            gx = np.empty_like(g)
-            gx[..., 0::2] = g0 * cos + g1 * sin
-            gx[..., 1::2] = -g0 * sin + g1 * cos
-            x.accumulate_grad(gx)
+        g0 = g[..., 0::2]
+        g1 = g[..., 1::2]
+        gx = np.empty_like(g)
+        gx[..., 0::2] = g0 * cos + g1 * sin
+        gx[..., 1::2] = -g0 * sin + g1 * cos
+        x.accumulate_grad(gx)
     return _record(out, (x,), backward, "rope")
 
 
@@ -161,12 +160,10 @@ def t5_relative_bias(Lq: int, Lk: int, num_buckets: int, max_distance: int,
     out = Tensor(bias_table.data[:, buckets])
 
     def backward(g):
-        if bias_table.requires_grad:
-            gt = np.zeros_like(bias_table.data)
-            h = bias_table.shape[0]
-            for hi in range(h):
-                np.add.at(gt[hi], buckets, g[hi])
-            bias_table.accumulate_grad(gt)
+        gt = np.zeros_like(bias_table.data)
+        for hi in range(bias_table.shape[0]):
+            np.add.at(gt[hi], buckets, g[hi])
+        bias_table.accumulate_grad(gt)
     return _record(out, (bias_table,), backward, "t5_relative_bias")
 
 

@@ -112,21 +112,22 @@ def geometric_mean(values) -> float:
     return prod ** (1.0 / len(values))
 
 
-def score_pair(cand, ref, cand_lines=None, ref_lines=None) -> dict[str, Score]:
+def score_pair(cand, ref) -> dict[str, Score]:
+    """All four scores of one candidate against one reference, each one line."""
     return {
         "rouge1": rouge_n(cand, ref, 1),
         "rouge2": rouge_n(cand, ref, 2),
         "rougeL": rouge_l(cand, ref),
-        "rougeLsum": rouge_lsum(cand_lines or [list(cand)], ref_lines or [list(ref)]),
+        "rougeLsum": rouge_lsum([list(cand)], [list(ref)]),
     }
 
 
-def corpus_report(pairs, use_lsum_for_rg: bool = False) -> RougeReport:
+def corpus_report(pairs) -> RougeReport:
     """pairs: iterable of (candidate tokens, reference tokens).
 
     Corpus scores are means of per-example precision/recall/F1; the RG
-    aggregate is the geometric mean of the corpus-mean R1/R2/RL F1 scores
-    (RLsum instead of RL when configured).
+    aggregate is the geometric mean of the corpus-mean R1/R2/RL F1 scores.
+    Each side is one line, where RLsum equals RL, so RG is the same with either.
     """
     pairs = list(pairs)
     if not pairs:
@@ -139,7 +140,6 @@ def corpus_report(pairs, use_lsum_for_rg: bool = False) -> RougeReport:
             acc[key][2] += sc.f1
     n = len(pairs)
     means = {k: Score(v[0] / n, v[1] / n, v[2] / n) for k, v in acc.items()}
-    rl = means["rougeLsum" if use_lsum_for_rg else "rougeL"]
-    rg = geometric_mean([means["rouge1"].f1, means["rouge2"].f1, rl.f1])
+    rg = geometric_mean([means["rouge1"].f1, means["rouge2"].f1, means["rougeL"].f1])
     return RougeReport(means["rouge1"], means["rouge2"], means["rougeL"],
                        means["rougeLsum"], rg, n)

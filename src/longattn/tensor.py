@@ -2,6 +2,8 @@
 
 Ops only record backward rules when a Tape is active and some input has
 requires_grad set; inference runs tape-free and allocates nothing extra.
+A one-input op is recorded only when its input requires grad, so its
+backward rule needs no check; a rule of several inputs skips those that do not.
 Every forward op checks its output for NaN/Inf and raises on violation.
 """
 
@@ -41,10 +43,6 @@ class Tape:
     def __exit__(self, *exc):
         Tape._active = None
         return False
-
-    @classmethod
-    def active(cls) -> "Tape | None":
-        return cls._active
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -92,7 +90,7 @@ class Tensor:
 def _record(out: Tensor, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None], op: str) -> Tensor:
     _check_finite(out.data, op)
-    tape = Tape.active()
+    tape = Tape._active
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -157,8 +155,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
+        a.accumulate_grad(g * s)
     return _record(out, (a,), backward, "scale")
 
 
@@ -167,8 +164,7 @@ def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     out = Tensor(a.data + c)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+        a.accumulate_grad(_unbroadcast(g, a.shape))
     return _record(out, (a,), backward, "add_const")
 
 
@@ -176,8 +172,7 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * c, a.shape))
+        a.accumulate_grad(_unbroadcast(g * c, a.shape))
     return _record(out, (a,), backward, "mul_const")
 
 
@@ -192,10 +187,9 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(0.5 * x * (1.0 + t))
 
     def backward(g):
-        if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-            a.accumulate_grad(g * d)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+        a.accumulate_grad(g * d)
     return _record(out, (a,), backward, "gelu")
 
 
@@ -241,12 +235,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate_grad(np.broadcast_to(g, a.shape))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a.accumulate_grad(np.broadcast_to(gg, a.shape))
+        if axis is None:
+            a.accumulate_grad(np.broadcast_to(g, a.shape))
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            a.accumulate_grad(np.broadcast_to(gg, a.shape))
     return _record(out, (a,), backward, "sum")
 
 
@@ -254,8 +247,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
+        a.accumulate_grad(g.reshape(a.shape))
     return _record(out, (a,), backward, "reshape")
 
 
@@ -264,8 +256,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
+        a.accumulate_grad(g.transpose(inv))
     return _record(out, (a,), backward, "transpose")
 
 
@@ -291,10 +282,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(a.data[idx])
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a.accumulate_grad(full)
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        a.accumulate_grad(full)
     return _record(out, (a,), backward, "narrow")
 
 
@@ -307,8 +297,7 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     idx = tuple(idx)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g[idx])
+        a.accumulate_grad(g[idx])
     return _record(out, (a,), backward, "pad")
 
 
@@ -325,9 +314,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(s)
 
     def backward(g):
-        if a.requires_grad:
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(s * (g - dot))
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        a.accumulate_grad(s * (g - dot))
     return _record(out, (a,), backward, "softmax")
 
 
@@ -365,10 +353,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[ids])
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            table.accumulate_grad(gt)
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        table.accumulate_grad(gt)
     return _record(out, (table,), backward, "embedding_lookup")
 
 
@@ -390,8 +377,7 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
         out = Tensor(0.0)
 
         def backward(g):
-            if logits.requires_grad:
-                logits.accumulate_grad(np.zeros_like(x))
+            logits.accumulate_grad(np.zeros_like(x))
         return _record(out, (logits,), backward, "cross_entropy")
 
     tgt = np.where(live, targets, 0)
@@ -399,11 +385,10 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
     out = Tensor(-(picked * live).sum() / n)
 
     def backward(g):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(T), tgt] -= 1.0
-            p *= (live / n)[:, None] * g
-            logits.accumulate_grad(p)
+        p = np.exp(logp)
+        p[np.arange(T), tgt] -= 1.0
+        p *= (live / n)[:, None] * g
+        logits.accumulate_grad(p)
     return _record(out, (logits,), backward, "cross_entropy")
 
 
@@ -428,7 +413,7 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.array(1.0)
     for node in reversed(tape.nodes):
-        if node.grad is None or node._backward is None:
+        if node.grad is None:
             continue
         node._backward(node.grad)
 

@@ -8,20 +8,18 @@ import logging
 import numpy as np
 
 from . import tensor as T
-from .model import ModelConfig, seq2seq_loss, greedy_decode, EOS_ID
+from .model import ModelConfig, seq2seq_loss, greedy_decode
 from .data import SyntheticDoc
 
 log = logging.getLogger(__name__)
 
 
 class Adam:
-    def __init__(self, params: dict[str, T.Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, T.Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -46,15 +44,11 @@ def _clear_grads(params):
 
 
 def train_step(cfg: ModelConfig, params, batch, opt: Adam,
-               rng: np.random.Generator, lr: float | None = None,
-               clip: float | None = 1.0) -> float:
-    """One gradient step on a batch of (input_ids, target_ids) pairs.
-
-    Gradients are averaged over the batch and clipped to a global L2 norm of
-    `clip` (None disables clipping).
-    """
-    if lr is not None:
-        opt.lr = lr
+               rng: np.random.Generator, lr: float, clip: float = 1.0) -> float:
+    """One gradient step at learning rate `lr` on a batch of (input_ids,
+    target_ids) pairs; gradients are averaged over the batch and clipped to a
+    global L2 norm of `clip`."""
+    opt.lr = lr
     total = 0.0
     grads: dict[str, np.ndarray] = {}
     for input_ids, target_ids in batch:
@@ -69,10 +63,9 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
                 grads[k] = grads.get(k, 0) + p.grad
     n = len(batch)
     grads = {k: g / n for k, g in grads.items()}
-    if clip is not None:
-        norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
-        if norm > clip:
-            grads = {k: g * (clip / norm) for k, g in grads.items()}
+    norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
+    if norm > clip:
+        grads = {k: g * (clip / norm) for k, g in grads.items()}
     opt.step(grads)
     _clear_grads(params)
     return total / n
@@ -80,12 +73,11 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
 
 def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
           batch_size: int, seed: int, lr: float = 1e-3, warmup: int = 100,
-          log_every: int = 50, loss_log: list | None = None,
-          clip: float | None = 1.0) -> None:
+          log_every: int = 50, loss_log: list | None = None) -> None:
     """Train for `steps` steps, sampling batches with replacement.
 
     Linear learning-rate warmup over `warmup` steps, constant afterwards;
-    gradients are clipped to global L2 norm `clip`.
+    gradients are clipped to global L2 norm 1. Each call starts a fresh Adam.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -98,22 +90,21 @@ def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
         idx = rng.integers(0, n, size=batch_size)
         batch = [examples[i] for i in idx]
         cur_lr = lr * min(1.0, (step + 1) / max(1, warmup))
-        loss = train_step(cfg, params, batch, opt, rng, lr=cur_lr, clip=clip)
+        loss = train_step(cfg, params, batch, opt, rng, lr=cur_lr)
         if loss_log is not None:
             loss_log.append((step, loss))
         if log_every and step % log_every == 0:
             log.info("step %d loss %.4f", step, loss)
 
 
-def exact_match(cfg: ModelConfig, params, examples: list[tuple],
-                max_len: int | None = None) -> float:
-    """Fraction of examples whose greedy decode equals the target exactly."""
+def exact_match(cfg: ModelConfig, params, examples: list[tuple]) -> float:
+    """Fraction of examples whose greedy decode, of at most len(target) + 2
+    tokens, equals the target exactly."""
     if not examples:
         return 0.0
     hit = 0
     for input_ids, target_ids in examples:
-        ml = max_len if max_len is not None else len(target_ids) + 2
-        out = greedy_decode(cfg, params, input_ids, ml, eos_id=EOS_ID)
+        out = greedy_decode(cfg, params, input_ids, len(target_ids) + 2)
         if list(out) == list(target_ids):
             hit += 1
     return hit / len(examples)

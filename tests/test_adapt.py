@@ -85,23 +85,25 @@ class TestRoundTrip:
             Checkpoint.load_dir(tmp_path / "m")
 
     def test_hand_built_manifest_fixture(self, tmp_path):
-        # three tiny arrays laid out by hand; load must reproduce them exactly
+        # the config's arrays laid out by hand, in the reverse of manifest
+        # order; load must follow the offsets and reproduce them exactly
         p = tmp_path / "fix"
         p.mkdir()
-        a = np.arange(4, dtype="<f4").reshape(2, 2)
-        b = np.array([7.5], dtype="<f4")
-        c = np.arange(6, dtype="<f4") * 0.25
+        shapes = M.param_shapes(cfg_full())
+        arrays = {k: (np.arange(np.prod(s), dtype="<f4") * 0.25 + i).reshape(s)
+                  for i, (k, s) in enumerate(shapes.items())}
+        blob, offsets = b"", {}
+        for k in reversed(list(shapes)):
+            offsets[k] = len(blob)
+            blob += arrays[k].tobytes()
         manifest = {"format_version": 1, "params": {
-            "one": {"shape": [2, 2], "dtype": "float32", "offset": 0},
-            "two": {"shape": [1], "dtype": "float32", "offset": 16},
-            "three": {"shape": [6], "dtype": "float32", "offset": 20}}}
+            k: {"shape": list(s), "dtype": "float32", "offset": offsets[k]}
+            for k, s in shapes.items()}}
         (p / "manifest.json").write_text(json.dumps(manifest))
-        (p / "params.bin").write_bytes(a.tobytes() + b.tobytes() + c.tobytes())
+        (p / "params.bin").write_bytes(blob)
         (p / "config.json").write_text(json.dumps(cfg_full().to_dict()))
         ck = Checkpoint.load_dir(p)
-        assert np.array_equal(ck.arrays["one"], a)
-        assert np.array_equal(ck.arrays["two"], b)
-        assert np.array_equal(ck.arrays["three"], c)
+        assert all(np.array_equal(ck.arrays[k], a) for k, a in arrays.items())
 
     def test_config_hash_guard(self, tmp_path):
         cfg = make_config(Variant.BLOCK_LOCAL, block_size=8, staggered=True,

@@ -255,12 +255,34 @@ class TestInputContract:
         blob.write_bytes(blob.read_bytes()[:100])
         paths = {"CORPUS": tmp_path / "g" / "corpus.jsonl", "CKPT": tiny_ckpt(tmp_path / "ck"),
                  "TRUNC": truncated}
+        for name, (file, edit) in self.BROKEN.items():
+            paths[name] = tiny_ckpt(tmp_path / name)
+            f = paths[name] / file
+            f.write_text(json.dumps(edit(json.loads(f.read_text()))))
         texts = {"BAD_CONFIG": '{"data": {"n_docs": 3', "EMPTY": "", "NO_SENTENCES": "{}\n",
                  "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n'}
         for name, text in texts.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
         return paths
+
+    # checkpoints with one edit to one metadata file: name -> (file, edit)
+    BROKEN = {
+        "NO_PARAMS": ("manifest.json", lambda m: {"format_version": 1}),
+        "MANIFEST_LIST": ("manifest.json", lambda m: [m]),
+        "SHAPE_STR": ("manifest.json",
+                      lambda m: {**m, "params": {**m["params"], "embed.tok": {
+                          **m["params"]["embed.tok"], "shape": "16x16"}}}),
+        "OFFSET_STR": ("manifest.json",
+                       lambda m: {**m, "params": {**m["params"], "embed.tok": {
+                           **m["params"]["embed.tok"], "offset": "0"}}}),
+        "NO_EMBED": ("manifest.json", lambda m: {**m, "params": {
+            k: v for k, v in m["params"].items() if k != "embed.tok"}}),
+        "NO_ATTENTION": ("config.json",
+                         lambda c: {k: v for k, v in c.items() if k != "attention"}),
+        "EXTRA_KEY": ("config.json", lambda c: {**c, "bogus": 1}),
+        "D_MODEL_STR": ("config.json", lambda c: {**c, "d_model": "16"}),
+    }
 
     CASES = {
         "kind-bogus": ["gen-data", "--set", "data.kind=bogus"],
@@ -289,12 +311,38 @@ class TestInputContract:
         "bench-no-lengths": ["bench", "--set", "bench.lengths=[]"],
         "bench-no-variants": ["bench", "--set", "bench.variants=[]"],
         "bench-repeats-zero": ["bench", "--set", "bench.repeats=0"],
+        "manifest-without-params": ["eval", "--ckpt", "NO_PARAMS", "--data", "CORPUS"],
+        "manifest-not-object": ["eval", "--ckpt", "MANIFEST_LIST", "--data", "CORPUS"],
+        "manifest-shape-string": ["eval", "--ckpt", "SHAPE_STR", "--data", "CORPUS"],
+        "manifest-offset-string": ["eval", "--ckpt", "OFFSET_STR", "--data", "CORPUS"],
+        "config-missing-key": ["eval", "--ckpt", "NO_ATTENTION", "--data", "CORPUS"],
+        "config-unknown-key": ["eval", "--ckpt", "EXTRA_KEY", "--data", "CORPUS"],
+        "config-value-type": ["eval", "--ckpt", "D_MODEL_STR", "--data", "CORPUS"],
+        "manifest-missing-param-global-local": [
+            "adapt", "--ckpt", "NO_EMBED", "--set",
+            'surgery.chain=[{"op": "global_local", "block_size": 8, "num_global": 2}]'],
+        "manifest-missing-param-drop-cross": [
+            "adapt", "--ckpt", "NO_EMBED", "--set",
+            'surgery.chain=[{"op": "drop_cross", "keep_layers": [0]}]'],
+        "global-local-block-size-zero": [
+            "adapt", "--ckpt", "CKPT", "--set",
+            'surgery.chain=[{"op": "global_local", "block_size": 0, "num_global": 2}]'],
     }
     # what the message of some cases must name
-    NAMED = {"truncated-params": "params.bin",
-             "bench-baseline-not-pair": "'bench.baseline'",
-             "bench-length-zero": "'bench.lengths'", "bench-no-lengths": "'bench.lengths'",
-             "bench-no-variants": "'bench.variants'", "bench-repeats-zero": "'bench.repeats'"}
+    NAMED = {"truncated-params": ("params.bin",),
+             "bench-baseline-not-pair": ("'bench.baseline'",),
+             "bench-length-zero": ("'bench.lengths'",), "bench-no-lengths": ("'bench.lengths'",),
+             "bench-no-variants": ("'bench.variants'",), "bench-repeats-zero": ("'bench.repeats'",),
+             "manifest-without-params": ("manifest.json", "'params'"),
+             "manifest-not-object": ("manifest.json", "'params'"),
+             "manifest-shape-string": ("manifest.json", "'shape'", "'embed.tok'"),
+             "manifest-offset-string": ("manifest.json", "'offset'", "'embed.tok'"),
+             "config-missing-key": ("config.json", "'attention'"),
+             "config-unknown-key": ("config.json", "'bogus'"),
+             "config-value-type": ("config.json", "'d_model'"),
+             "manifest-missing-param-global-local": ("manifest.json", "'embed.tok'"),
+             "manifest-missing-param-drop-cross": ("manifest.json", "'embed.tok'"),
+             "global-local-block-size-zero": ("block_size",)}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):
@@ -304,7 +352,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert self.NAMED.get(case, "") in err
+        assert all(name in err for name in self.NAMED.get(case, ()))
 
     @pytest.mark.parametrize("assignment, key", [
         ("data.n_docs=true", "data.n_docs"),          # an int key takes no bool

@@ -372,6 +372,16 @@ class TestDenseEncoderOracle:
         assert abs(loss - M.seq2seq_loss(cfg, params, inp, tgt).item()) < 1e-12
 
 
+def non_repeating(cfg, params):
+    """Damped decoder branches and an output projection that sends each
+    token's embedding to the id 5 on: untrained, greedy would repeat one token."""
+    for k in params:
+        if k.startswith("dec.") and k.endswith(("wo", "w2")):
+            params[k] = Tensor(0.6 * params[k].data)
+    params["out_proj"] = Tensor(np.roll(params["embed.tok"].data.T, 5, axis=1))
+    return params
+
+
 class TestDecoding:
     def test_greedy_max_len_one(self):
         cfg = tiny_config()
@@ -394,6 +404,15 @@ class TestDecoding:
             g = M.greedy_decode(cfg, params, ids, max_len=6)
             b = M.beam_decode(cfg, params, ids, beam_size=1, alpha=0.0, max_len=6)
             assert g == b
+        # a length penalty and an emitted eos: still one candidate per step
+        cfg = tiny_config(tie_embeddings=False)
+        params = non_repeating(cfg, M.init_params(cfg, 0))
+        ids = np.random.default_rng(0).integers(4, 16, size=12).tolist()
+        full = M.greedy_decode(cfg, params, ids, max_len=8, eos_id=-1)
+        eos = max(full, key=full.index)
+        g = M.greedy_decode(cfg, params, ids, max_len=8, eos_id=eos)
+        b = M.beam_decode(cfg, params, ids, beam_size=1, alpha=0.6, max_len=8, eos_id=eos)
+        assert g == b and g[-1] == eos and len(g) >= 4
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("encoder", [
@@ -404,13 +423,7 @@ class TestDecoding:
     ])
     def test_greedy_is_teacher_forced_argmax(self, scheme, encoder):
         cfg = tiny_config(scheme=scheme, tie_embeddings=False, **encoder)
-        params = M.init_params(cfg, 0)
-        # Damped decoder branches and an output projection that sends each
-        # token's embedding to the id 5 on: untrained, greedy would repeat one token.
-        for k in params:
-            if k.startswith("dec.") and k.endswith(("wo", "w2")):
-                params[k] = Tensor(0.6 * params[k].data)
-        params["out_proj"] = Tensor(np.roll(params["embed.tok"].data.T, 5, axis=1))
+        params = non_repeating(cfg, M.init_params(cfg, 0))
         if scheme == Scheme.T5_RELATIVE:     # nonzero bias rows
             rng = np.random.default_rng(2)
             for k in ("posenc.bias_enc", "posenc.bias_dec"):

@@ -176,8 +176,10 @@ class TestAggregate:
         want = R.geometric_mean([rep.rouge1.f1, rep.rouge2.f1, rep.rougeL.f1])
         assert rep.rg == pytest.approx(want)
 
-    def test_rg_lsum_variant(self):
-        pairs = [([1, 2, 3], [1, 2, 4])]
-        rep = R.corpus_report(pairs, use_lsum_for_rg=True)
-        want = R.geometric_mean([rep.rouge1.f1, rep.rouge2.f1, rep.rougeLsum.f1])
-        assert rep.rg == pytest.approx(want)
+    @settings(max_examples=200, deadline=None)
+    @given(cand=tokens, ref=tokens)
+    def test_one_line_lsum_equals_rouge_l(self, cand, ref):
+        # each side is one line, so RG is the same with RLsum in place of RL
+        assert R.rouge_lsum([cand], [ref]) == R.rouge_l(cand, ref)
+        rep = R.corpus_report([(cand, ref)])
+        assert rep.rougeLsum == rep.rougeL
