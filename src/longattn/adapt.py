@@ -89,6 +89,9 @@ class Checkpoint:
             off, n = meta.get("offset"), int(np.prod(shape))
             if type(off) is not int:
                 raise CheckpointError(f"{mpath}: 'offset' of '{name}' must be an int")
+            if meta.get("dtype") != "float32":
+                raise CheckpointError(f"{mpath}: 'dtype' of '{name}' must be \"float32\", "
+                                      f"got {json.dumps(meta.get('dtype'))}")
             if not 0 <= off <= len(blob) - 4 * n:
                 raise CheckpointError(
                     f"parameter '{name}' ({4 * n} bytes at offset {off}) runs past the "

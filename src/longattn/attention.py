@@ -114,16 +114,16 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     allowed key come out zero. `bias` may carry grad."""
     nd = q.data.ndim
     kt = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = T.scale(T.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
+    scores = T.mul(T.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
     if bias is not None:
-        scores = T.add(scores, bias) if isinstance(bias, Tensor) else T.add_const(scores, bias)
+        scores = T.add(scores, bias)
     if allow is None:
         return T.matmul(T.softmax(scores, axis=-1), v)
-    w = T.softmax(T.add_const(scores, np.where(allow, 0.0, T.MASK_NEG)), axis=-1)
+    w = T.softmax(T.add(scores, np.where(allow, 0.0, T.MASK_NEG)), axis=-1)
     dead = ~allow.any(axis=-1, keepdims=True)
     if dead.any():
         # fully-masked rows come out uniform; zero them so they contribute nothing
-        w = T.mul_const(w, np.where(dead, 0.0, 1.0))
+        w = T.mul(w, np.where(dead, 0.0, 1.0))
     return T.matmul(w, v)
 
 
@@ -202,6 +202,8 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
     global query sees {all tokens} ∪ {all globals}. Inputs are per-head
     projected tensors; tok_* are [h, L, d] and glob_* are [h, g, d]. `bias`
     is the per-block [h, b, b] token-token bias, as for block_local_attention.
+    Pad-slot queries of the frame are computed like any other and then
+    dropped, as in block_local_attention, so they reach neither output.
     Returns (token_out [h, L, d], global_out [h, g, d]).
     """
     _check_qkv(glob_q, glob_k, glob_v)
@@ -209,11 +211,6 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
         raise ValueError("global-local attention needs at least one global token")
     out = _local(tok_q, tok_k, tok_v, layout, bias, glob_k, glob_v)
     h, L, d = tok_q.shape
-    # Zeroing the pad-slot query rows is numerically redundant (the narrow
-    # drops them); it stays because perfbench's traced run requires a
-    # tensor.mul_const call on every workload, and this is the only one.
-    real = layout.pad_mask().reshape(1, layout.num_blocks, layout.block_size, 1)
-    out = T.mul_const(out, real.astype(float))
     tok_out = T.narrow(T.reshape(out, (h, layout.frame_len, d)), 1, layout.pad_left, L)
     glob_out = _attend(glob_q, T.concat([tok_k, glob_k], axis=1),
                        T.concat([tok_v, glob_v], axis=1))

@@ -170,8 +170,11 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
                                 sc["long_len"], batch=sc["batch"],
                                 base_mask_ratio=sc["base_mask_ratio"],
                                 output_len=sc["output_len"])
-    params = init_params(mcfg, seed)
     dcfg = cfg["data"]
+    if dcfg["vocab_size"] > mcfg.vocab_size:
+        raise ConfigError(f"data.vocab_size {dcfg['vocab_size']} exceeds the model's "
+                          f"vocabulary (model.vocab_size {mcfg.vocab_size})")
+    params = init_params(mcfg, seed)
     losses: list = []
     for pi, phase in enumerate(schedule.phases):
         n_sent = (dcfg["sentences_short"] if phase.input_len == sc["short_len"]
@@ -247,16 +250,28 @@ def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
+def _read_pairs(cfg: dict, args, vocab_size: int) -> list[tuple]:
+    """(input, target) pairs from --data or data.path; a token id outside the
+    model's vocabulary is a ValueError naming its corpus line."""
     data_path = args.data or cfg["data"]["path"]
     if not data_path:
-        raise ConfigError("finetune needs --data (or data.path in config)")
+        raise ConfigError(f"{args.command} needs --data (or data.path in config)")
+    pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
+    for n, (inp, tgt) in enumerate(pairs, 1):
+        bad = [t for t in (*inp, *tgt) if type(t) is not int or not 0 <= t < vocab_size]
+        if bad:
+            raise ValueError(f"{data_path} line {n}: token id {json.dumps(bad[0])} is "
+                             f"outside the model's vocabulary [0, {vocab_size})")
+    return pairs
+
+
+def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
     if args.ckpt:
         mcfg, params = AD.load(args.ckpt)
     else:
         mcfg = ModelConfig.from_dict(cfg["model"])
         params = init_params(mcfg, seed)
-    pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
+    pairs = _read_pairs(cfg, args, mcfg.vocab_size)
     tr = cfg["train"]
     losses: list = []
     TR.train(mcfg, params, pairs, tr["steps"], tr["batch"], seed,
@@ -271,14 +286,13 @@ def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
 def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
     if not args.ckpt:
         raise ConfigError("eval needs --ckpt")
-    data_path = args.data or cfg["data"]["path"]
-    if not data_path:
-        raise ConfigError("eval needs --data (or data.path in config)")
     dc = cfg["decode"]
     if dc["beam_size"] < 1:
         raise ConfigError(f"decode.beam_size must be >= 1, got {dc['beam_size']}")
+    if dc["max_len"] < 1:
+        raise ConfigError(f"decode.max_len must be >= 1, got {dc['max_len']}")
     mcfg, params = AD.load(args.ckpt)
-    pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
+    pairs = _read_pairs(cfg, args, mcfg.vocab_size)
     outputs = [(beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"], dc["max_len"]),
                 tgt) for inp, tgt in pairs]
     report = R.corpus_report(outputs)

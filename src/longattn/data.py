@@ -61,7 +61,12 @@ def read_jsonl(path) -> list[SyntheticDoc]:
             raise ValueError(f"{path} line {n} is not JSON: {e}") from None
         if not isinstance(rec, dict) or "sentences" not in rec:
             raise ValueError(f"{path} line {n} has no \"sentences\"")
-        docs.append(SyntheticDoc(rec["sentences"], target=rec.get("target")))
+        sents, target = rec["sentences"], rec.get("target")
+        if (not isinstance(sents, list) or not all(isinstance(s, list) for s in sents)
+                or not isinstance(target, (list, type(None)))):
+            raise ValueError(f"{path} line {n}: \"sentences\" must be a list of lists "
+                             f"and \"target\" a list")
+        docs.append(SyntheticDoc(sents, target=target))
     return docs
 
 

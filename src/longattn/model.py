@@ -232,10 +232,10 @@ def _maybe_rope(cfg: ModelConfig, x: Tensor, positions) -> Tensor:
 def _embed(cfg: ModelConfig, params, ids, side: str, start: int, n: int) -> Tensor:
     """Scaled token embeddings plus absolute positions start .. start + n - 1:
     ids is one sequence of n tokens, or with n == 1 one token per sequence."""
-    x = T.scale(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
+    x = T.mul(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
     sch = cfg.posenc.scheme
     if sch == Scheme.SINUSOIDAL:
-        x = T.add_const(x, P.sinusoidal(n, cfg.d_model, cfg.posenc.sinusoidal_factor, start))
+        x = T.add(x, P.sinusoidal(n, cfg.d_model, cfg.posenc.sinusoidal_factor, start))
     elif sch == Scheme.LEARNED_ABSOLUTE:
         table = params["embed.pos_enc" if side == "enc" else "embed.pos_dec"]
         x = T.add(x, P.learned_absolute(table, n, start))
@@ -267,7 +267,7 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
     pos = np.arange(L)
 
     x = _embed(cfg, params, token_ids, "enc", 0, L)
-    glob = (T.scale(params["embed.global"], cfg.d_model ** 0.5)
+    glob = (T.mul(params["embed.global"], cfg.d_model ** 0.5)
             if spec.variant == Variant.GLOBAL_LOCAL else None)
     bias = _enc_bias(cfg, params, L)
 

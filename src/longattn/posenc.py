@@ -157,14 +157,8 @@ def t5_relative_bias(Lq: int, Lk: int, num_buckets: int, max_distance: int,
             f"bias table has {bias_table.shape[1]} buckets, config says {num_buckets}")
     buckets = relative_bucket_matrix(Lq, Lk, num_buckets, max_distance, bidirectional,
                                      q_start)
-    out = Tensor(bias_table.data[:, buckets])
-
-    def backward(g):
-        gt = np.zeros_like(bias_table.data)
-        for hi in range(bias_table.shape[0]):
-            np.add.at(gt[hi], buckets, g[hi])
-        bias_table.accumulate_grad(gt)
-    return _record(out, (bias_table,), backward, "t5_relative_bias")
+    rows = T.embedding_lookup(T.transpose(bias_table, (1, 0)), buckets)   # [Lq, Lk, h]
+    return T.transpose(rows, (2, 0, 1))
 
 
 def block_relative_bias(b: int, num_buckets: int, max_distance: int,

@@ -4,6 +4,10 @@ Ops only record backward rules when a Tape is active and some input has
 requires_grad set; inference runs tape-free and allocates nothing extra.
 A one-input op is recorded only when its input requires grad, so its
 backward rule needs no check; a rule of several inputs skips those that do not.
+Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
+ndarray or float operand in a Tensor that needs no grad. Gradients are
+never updated in place, so a backward rule may hand one array to several
+parents.
 Every forward op checks its output for NaN/Inf and raises on violation.
 """
 
@@ -51,15 +55,13 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_grad_owned", "_parents",
-                 "_backward", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._grad_owned = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self.tape: Tape | None = None
@@ -75,16 +77,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        # copy-on-write: keep the first contribution by reference, copy only
-        # if a second one arrives (fan-out)
-        if self.grad is None:
-            self.grad = g
-            self._grad_owned = False
-        else:
-            if not self._grad_owned:
-                self.grad = np.array(self.grad, dtype=np.float64)
-                self._grad_owned = True
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def _record(out: Tensor, parents: Sequence[Tensor],
@@ -151,31 +144,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward, "mul")
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
-
-    def backward(g):
-        a.accumulate_grad(g * s)
-    return _record(out, (a,), backward, "scale")
-
-
-def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Add a non-differentiable constant (mask logits, position tables)."""
-    out = Tensor(a.data + c)
-
-    def backward(g):
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-    return _record(out, (a,), backward, "add_const")
-
-
-def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def backward(g):
-        a.accumulate_grad(_unbroadcast(g * c, a.shape))
-    return _record(out, (a,), backward, "mul_const")
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -201,7 +169,7 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return mul_const(a, keep)
+    return mul(a, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,13 @@ class TestEvalCommand:
         assert rc == 2
         assert "decode.beam_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_bad_max_len_exits_2(self, tmp_path, capsys, max_len):
+        rc = run(self.make_run(tmp_path) + ["--set", f"decode.max_len={max_len}"])
+        assert rc == 2
+        assert "decode.max_len" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "rouge.csv").exists()
+
 
 def tiny_ckpt(path):
     from longattn import adapt as AD
@@ -260,7 +267,10 @@ class TestInputContract:
             f = paths[name] / file
             f.write_text(json.dumps(edit(json.loads(f.read_text()))))
         texts = {"BAD_CONFIG": '{"data": {"n_docs": 3', "EMPTY": "", "NO_SENTENCES": "{}\n",
-                 "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n'}
+                 "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n',
+                 "FLAT_SENTENCES": '{"sentences": [6, 7], "target": [6]}\n',
+                 "TARGET_INT": '{"sentences": [[6, 7]], "target": 6}\n',
+                 "TOKEN_STR": '{"sentences": [[6, "x"]], "target": [6]}\n'}
         for name, text in texts.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
@@ -282,6 +292,8 @@ class TestInputContract:
                          lambda c: {k: v for k, v in c.items() if k != "attention"}),
         "EXTRA_KEY": ("config.json", lambda c: {**c, "bogus": 1}),
         "D_MODEL_STR": ("config.json", lambda c: {**c, "d_model": "16"}),
+        "FLOAT16": ("manifest.json", lambda m: {**m, "params": {
+            k: {**v, "dtype": "float16"} for k, v in m["params"].items()}}),
     }
 
     CASES = {
@@ -295,6 +307,9 @@ class TestInputContract:
         "record-without-sentences": ["finetune", "--data", "NO_SENTENCES"],
         "record-not-json": ["finetune", "--data", "NOT_JSON"],
         "document-without-target": ["finetune", "--data", "NO_TARGET"],
+        "sentences-not-lists": ["finetune", "--data", "FLAT_SENTENCES"],
+        "target-not-list": ["eval", "--ckpt", "CKPT", "--data", "TARGET_INT"],
+        "token-not-int": ["eval", "--ckpt", "CKPT", "--data", "TOKEN_STR"],
         "truncated-params": ["eval", "--ckpt", "TRUNC", "--data", "CORPUS"],
         "mask-length-zero": ["dump-mask", "--set", "mask.L=0"],
         "budget-not-whole-steps": ["pretrain", "--set", "schedule.total_budget=1000"],
@@ -327,6 +342,12 @@ class TestInputContract:
         "global-local-block-size-zero": [
             "adapt", "--ckpt", "CKPT", "--set",
             'surgery.chain=[{"op": "global_local", "block_size": 0, "num_global": 2}]'],
+        "manifest-dtype-float16": ["eval", "--ckpt", "FLOAT16", "--data", "CORPUS"],
+        # CKPT has 16 tokens, CORPUS is drawn from 64
+        "eval-token-out-of-vocab": ["eval", "--ckpt", "CKPT", "--data", "CORPUS"],
+        "finetune-token-out-of-vocab": ["finetune", "--ckpt", "CKPT", "--data", "CORPUS",
+                                        "--set", "train.steps=1"],
+        "pretrain-data-vocab-above-model": ["pretrain", "--set", "model.vocab_size=16"],
     }
     # what the message of some cases must name
     NAMED = {"truncated-params": ("params.bin",),
@@ -342,7 +363,14 @@ class TestInputContract:
              "config-value-type": ("config.json", "'d_model'"),
              "manifest-missing-param-global-local": ("manifest.json", "'embed.tok'"),
              "manifest-missing-param-drop-cross": ("manifest.json", "'embed.tok'"),
-             "global-local-block-size-zero": ("block_size",)}
+             "global-local-block-size-zero": ("block_size",),
+             "manifest-dtype-float16": ("manifest.json", "'dtype'", "'embed.tok'"),
+             "eval-token-out-of-vocab": ("corpus.jsonl line 1", "vocabulary [0, 16)"),
+             "finetune-token-out-of-vocab": ("corpus.jsonl line 1", "vocabulary [0, 16)"),
+             "sentences-not-lists": ("FLAT_SENTENCES line 1",),
+             "target-not-list": ("TARGET_INT line 1",),
+             "token-not-int": ("TOKEN_STR line 1", '"x"'),
+             "pretrain-data-vocab-above-model": ("data.vocab_size", "model.vocab_size")}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):

@@ -108,7 +108,7 @@ class TestEncoder:
         params["enc.0.ffn.w2"] = Tensor(np.zeros((32, 16)), requires_grad=True)
         ids = [5, 9, 2, 14]
         out, _ = M.encoder_forward(cfg, params, ids)
-        emb = T.scale(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
+        emb = T.mul(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
         ref = T.layer_norm(emb, params["enc.final_ln.gain"], params["enc.final_ln.bias"])
         assert np.abs(out.data - ref.data).max() < 1e-12
 
@@ -122,8 +122,8 @@ class TestEncoder:
         out, out_g = M.encoder_forward(cfg, params, ids)
 
         h = cfg.num_heads
-        x = T.scale(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
-        glob = T.scale(params["embed.global"], cfg.d_model ** 0.5)
+        x = T.mul(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
+        glob = T.mul(params["embed.global"], cfg.d_model ** 0.5)
         hx = T.layer_norm(x, params["enc.0.ln1.gain"], params["enc.0.ln1.bias"])
         hg = T.layer_norm(glob, params["enc.0.ln1g.gain"], params["enc.0.ln1g.bias"])
         both = T.concat([hx, hg], axis=0)

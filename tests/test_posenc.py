@@ -216,6 +216,22 @@ class TestT5Bias:
         assert np.array_equal(tab.grad[0], counts)
         assert np.array_equal(tab.grad[1], counts)
 
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_gradient_matches_per_head_loop(self, bidirectional):
+        rng = np.random.default_rng(9)
+        tab = Tensor(rng.standard_normal((3, 32)), requires_grad=True)
+        up = rng.standard_normal((3, 5, 9))      # a different gradient per head
+        with T.Tape():
+            out = P.t5_relative_bias(5, 9, 32, 128, tab, bidirectional, q_start=4)
+            T.backward(T.tsum(T.mul(out, Tensor(up))))
+        buckets = P.relative_bucket_matrix(5, 9, 32, 128, bidirectional, q_start=4)
+        want = np.zeros((3, 32))
+        for h in range(3):
+            for i in range(5):
+                for j in range(9):
+                    want[h, buckets[i, j]] += up[h, i, j]
+        assert np.abs(tab.grad - want).max() < 1e-12
+
     def test_block_bias_is_single_matrix(self):
         rng = np.random.default_rng(7)
         tab = Tensor(rng.standard_normal((2, 32)))

@@ -137,7 +137,7 @@ class TestElementwise:
 
     def test_nan_rejected(self):
         with pytest.raises(FloatingPointError):
-            T.scale(Tensor([1e308]), 1e308)
+            T.mul(Tensor([1e308]), 1e308)
 
 
 class TestEmbedding:
@@ -214,7 +214,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with T.Tape():
-            y = T.scale(x, 2.0)
+            y = T.mul(x, 2.0)
             with pytest.raises(T.ShapeError):
                 T.backward(y)
 
@@ -237,6 +237,35 @@ class TestBackward:
         with T.Tape():
             T.backward(T.add(T.mul(x, x), T.mul(x, x)))
         assert abs(float(x.grad) - 8.0) < 1e-12
+
+    def test_shared_gradient_is_not_updated_in_place(self):
+        # the inner add hands one gradient array to both a and b; a's second
+        # contribution must not leak into b's
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        with T.Tape():
+            T.backward(T.tsum(T.add(T.add(a, b), a)))
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op,np_op", [(T.add, np.add), (T.mul, np.multiply)])
+    @pytest.mark.parametrize("kind", ["ndarray", "float"])
+    def test_forward_and_grad_reach_only_the_tensor(self, op, np_op, kind):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3))
+        c = rng.standard_normal(3) if kind == "ndarray" else -1.75
+        t = Tensor(x, requires_grad=True)
+        up = rng.standard_normal((2, 3))
+        with T.Tape():
+            out = op(t, c)
+            T.backward(T.tsum(T.mul(out, up)))
+        assert np.array_equal(out.data, np_op(x, c))
+        assert out._parents[0] is t and not out._parents[1].requires_grad
+        assert out._parents[1].grad is None
+        want = up if op is T.add else up * c
+        assert np.array_equal(t.grad, want)
 
 
 class TestFiniteDiff:
