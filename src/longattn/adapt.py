@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import Tensor
-from .model import ModelConfig, param_shapes
+from .model import ModelConfig, check_json, param_shapes
 from .attention import AttentionSpec, Variant
 from .posenc import Scheme, replicate
 
@@ -66,7 +66,8 @@ class Checkpoint:
     @classmethod
     def load_dir(cls, path) -> "Checkpoint":
         """Read a checkpoint; malformed metadata, or parameters other than
-        param_shapes(config), is a CheckpointError naming the file and key."""
+        param_shapes(config), is a ValueError naming the file and key. config.json
+        is checked by `model.check_json`, as the CLI's configs are."""
         path = Path(path)
         mpath, cpath, bpath = path / "manifest.json", path / "config.json", path / "params.bin"
         manifest = json.loads(mpath.read_text())
@@ -78,7 +79,9 @@ class Checkpoint:
                 f"checkpoint format version {manifest.get('format_version')} "
                 f"!= supported {FORMAT_VERSION}")
         raw = json.loads(cpath.read_text())
-        _check_json(ModelConfig().to_dict(), raw, cpath, "")
+        if type(raw) is dict and type(raw.get("posenc")) is dict:
+            raw["posenc"].pop("learned_max_len", None)   # in checkpoints from before its removal
+        check_json(ModelConfig().to_dict(), raw, str(cpath))
         config = ModelConfig.from_dict(raw)
         blob = bpath.read_bytes()
         arrays = {}
@@ -99,26 +102,6 @@ class Checkpoint:
             arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
         _check_inventory(param_shapes(config), {k: a.shape for k, a in arrays.items()}, mpath)
         return cls(config, arrays)
-
-
-def _check_json(want, got, file: Path, key: str) -> None:
-    """`got` has the JSON type of `want` (a float also takes an int), list
-    items that of want's first item, and an object exactly want's keys."""
-    if type(got) not in ((float, int) if type(want) is float else (type(want),)):
-        raise CheckpointError(f"{file}: '{key or 'config'}' must be {type(want).__name__}, "
-                              f"got {json.dumps(got)}")
-    if type(want) is list:
-        for item in got:
-            _check_json(want[0], item, file, key)
-    if type(want) is dict:
-        path = f"{key}." if key else ""
-        for k in got:
-            if k not in want and path + k != "posenc.learned_max_len":   # from_dict drops it
-                raise CheckpointError(f"{file} has unknown key '{path + k}'")
-        for k in want:
-            if k not in got:
-                raise CheckpointError(f"{file} lacks key '{path + k}'")
-            _check_json(want[k], got[k], file, path + k)
 
 
 def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple], source) -> None:

@@ -6,7 +6,8 @@ its artifacts plus a run.json (resolved config + seed + git describe) under
 --out. Re-running a subcommand from a run.json reproduces artifacts
 bit-identically.
 
-Values from a file or --set must have the JSON type of their default. Exit
+Values from a file (or run.json's "config") and --set are merged onto the
+defaults, and `model.check_json` checks the result once. Exit
 codes: 0 ok, 2 bad input (any ValueError or OSError: a bad config value, file
 or record), 3 numeric error (NaN/Inf), 4 acceptance failure; `main` is the one
 place that maps exceptions to them, with one line on stderr.
@@ -28,11 +29,7 @@ from . import data as D
 from . import rouge as R
 from . import train as TR
 from .attention import AttentionSpec, Variant, make_block_layout
-from .model import ModelConfig, beam_decode, init_params
-
-
-class ConfigError(ValueError):
-    pass
+from .model import ConfigError, ModelConfig, beam_decode, check_json, init_params
 
 
 DEFAULT_MODEL = ModelConfig().to_dict()
@@ -80,29 +77,10 @@ DEFAULTS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _check_type(key: str, default, value) -> None:
-    """`value` must have the JSON type of `default`: a float key also takes an
-    int, an int key takes no bool, and a null default takes anything."""
-    if default is None:
-        return
-    kinds = (float, int) if type(default) is float else (type(default),)
-    if type(value) not in kinds:
-        raise ConfigError(f"config key '{key}' must be {type(default).__name__}, "
-                          f"got {json.dumps(value)}")
-    if type(default) is list and default:
-        for item in value:
-            _check_type(key, default[0], item)
-
-
-def _merge_checked(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key '{here}'")
-        _check_type(here, base[key], val)
-        out[key] = _merge_checked(base[key], val, here) if isinstance(base[key], dict) else val
-    return out
+def _merge(base, override):
+    if not (isinstance(base, dict) and isinstance(override, dict)):
+        return override
+    return {**base, **{k: _merge(base.get(k), v) for k, v in override.items()}}
 
 
 def _parse_set(assignment: str) -> dict:
@@ -127,9 +105,10 @@ def resolve_config(command: str, config_path: str | None, sets: list[str]) -> di
             loaded = loaded["config"]                    # a run.json
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path} must hold a JSON object")
-        cfg = _merge_checked(cfg, loaded)
+        cfg = _merge(cfg, loaded)
     for s in sets:
-        cfg = _merge_checked(cfg, _parse_set(s))
+        cfg = _merge(cfg, _parse_set(s))
+    check_json(DEFAULTS[command], cfg, "config")
     return cfg
 
 
@@ -209,8 +188,8 @@ def _write_loss_csv(path: Path, losses: list) -> None:
             f.write(f"{step},{loss:.10g}\n")
 
 
-# the keys each surgery op needs besides "op", each mapped to an example of
-# the JSON type its value must have
+# the keys each surgery op takes besides "op" and the optional "staggered",
+# each mapped to an example of the JSON type its value must have
 SURGERY_KEYS = {"local": {"block_size": 0}, "global_local": {"block_size": 0, "num_global": 0},
                 "replicate_positions": {"new_max_len": 0}, "drop_cross": {"keep_layers": [0]}}
 
@@ -225,20 +204,17 @@ def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
         name = str(op.get("op"))
         if name not in SURGERY_KEYS:
             raise ConfigError(f"unknown surgery op '{name}'")
-        for key, example in SURGERY_KEYS[name].items():
-            if key not in op:
-                raise ConfigError(f"surgery op '{name}' needs '{key}'")
-            _check_type(f"{name}.{key}", example, op[key])
-        staggered = op.get("staggered", False)
-        _check_type(f"{name}.staggered", False, staggered)
+        op = {"staggered": False, **op}
+        check_json({"op": "", "staggered": False, **SURGERY_KEYS[name]}, op,
+                   f"surgery op '{name}'")
         src = ckpt.config.attention
         if name == "local":
-            spec = AttentionSpec(Variant.BLOCK_LOCAL, op["block_size"], 0, staggered,
+            spec = AttentionSpec(Variant.BLOCK_LOCAL, op["block_size"], 0, op["staggered"],
                                  src.num_heads, src.head_dim)
             ckpt = AD.port_to_local(ckpt, spec)
         elif name == "global_local":
             spec = AttentionSpec(Variant.GLOBAL_LOCAL, op["block_size"],
-                                 op["num_global"], staggered,
+                                 op["num_global"], op["staggered"],
                                  src.num_heads, src.head_dim)
             ckpt = AD.port_to_global_local(ckpt, spec, rng_seed=seed)
         elif name == "replicate_positions":

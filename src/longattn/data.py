@@ -94,8 +94,14 @@ def gen_corpus(kind: str, n_docs: int, len_dist, V: int, seed: int,
     if V <= FIRST_CONTENT + 1:
         raise ValueError(f"vocab size {V} leaves no content tokens")
     lo, hi = len_dist
+    if lo < 1:
+        raise ValueError(f"minimum length must be >= 1, got {lo}")
     if lo > hi:
         raise ValueError(f"minimum length {lo} exceeds maximum length {hi}")
+    if kind == "needle" and needle_block < 8:      # the pair region needs a key and a payload
+        raise ValueError(f"needle_block must be >= 8, got {needle_block}")
+    if kind == "needle" and needle_decoys < 0:
+        raise ValueError(f"needle_decoys must be >= 0, got {needle_decoys}")
     rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n_docs):

@@ -25,6 +25,10 @@ from .posenc import PosEncConfig, Scheme
 from .data import PAD_ID, EOS_ID, BOS_ID
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int = 64
@@ -80,13 +84,37 @@ class ModelConfig:
         att["variant"] = Variant(att["variant"])
         pe = dict(d.pop("posenc"))
         pe["scheme"] = Scheme(pe["scheme"])
-        pe.pop("learned_max_len", None)      # in checkpoints from before its removal
         d["cross_attn_layers"] = tuple(d.get("cross_attn_layers", ()))
         return cls(attention=AttentionSpec(**att), posenc=PosEncConfig(**pe), **d)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def check_json(want, got, where: str, key: str = "") -> None:
+    """The one type check for config documents: `got` must have the JSON type
+    of the template `want`. A null template takes anything and a float also
+    takes an int; list items are checked against want's first item, and an
+    object must have exactly want's keys. A mismatch is a ConfigError naming
+    `where` and the dotted key."""
+    if want is None:
+        return
+    if type(got) not in ((float, int) if type(want) is float else (type(want),)):
+        name = f"{where} key '{key}'" if key else where
+        raise ConfigError(f"{name} must be {type(want).__name__}, got {json.dumps(got)}")
+    if type(want) is list and want:
+        for item in got:
+            check_json(want[0], item, where, key)
+    if type(want) is dict:
+        path = f"{key}." if key else ""
+        for k in got:
+            if k not in want:
+                raise ConfigError(f"{where} has unknown key '{path + k}'")
+        for k in want:
+            if k not in got:
+                raise ConfigError(f"{where} lacks key '{path + k}'")
+            check_json(want[k], got[k], where, path + k)
 
 
 def make_config(variant=Variant.FULL, *, block_size=64, num_global=0, staggered=False,

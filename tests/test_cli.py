@@ -270,7 +270,9 @@ class TestInputContract:
                  "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n',
                  "FLAT_SENTENCES": '{"sentences": [6, 7], "target": [6]}\n',
                  "TARGET_INT": '{"sentences": [[6, 7]], "target": 6}\n',
-                 "TOKEN_STR": '{"sentences": [[6, "x"]], "target": [6]}\n'}
+                 "TOKEN_STR": '{"sentences": [[6, "x"]], "target": [6]}\n',
+                 "OLD_RUN_JSON": json.dumps({"command": "finetune", "seed": 0, "config": {
+                     "model": {"posenc": {"learned_max_len": 512}}}})}
         for name, text in texts.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
@@ -320,6 +322,16 @@ class TestInputContract:
                                "--set", 'surgery.chain=[{"op": "local", "block_size": "x"}]'],
         "surgery-staggered-type": ["adapt", "--ckpt", "CKPT", "--set",
                                    'surgery.chain=[{"op": "local", "block_size": 8, "staggered": [1]}]'],
+        "surgery-unknown-key": ["adapt", "--ckpt", "CKPT", "--set",
+                                'surgery.chain=[{"op":"local","block_size":8,"stagered":true}]'],
+        "run-json-learned-max-len": ["finetune", "--data", "CORPUS", "--config", "OLD_RUN_JSON"],
+        "steps-negative": ["finetune", "--data", "CORPUS", "--set", "train.steps=-1"],
+        "len-min-zero": ["gen-data", "--set", "data.len_min=0", "--set", "data.len_max=0"],
+        # long enough documents that only the needle bound can fail
+        **{f"needle-{key}-{val}": ["gen-data", "--set", "data.kind=needle",
+                                   "--set", "data.n_docs=4", "--set", "data.len_min=256",
+                                   "--set", "data.len_max=256", "--set", f"data.needle_{key}={val}"]
+           for key, val in (("block", 0), ("block", 4), ("block", 6), ("decoys", -1))},
         "schedule-batch-zero": ["pretrain", "--set", "schedule.batch=0"],
         "bench-baseline-not-pair": ["bench", "--set", "bench.baseline=5"],
         "bench-length-zero": ["bench", "--set", "bench.lengths=[0]"],
@@ -370,7 +382,13 @@ class TestInputContract:
              "sentences-not-lists": ("FLAT_SENTENCES line 1",),
              "target-not-list": ("TARGET_INT line 1",),
              "token-not-int": ("TOKEN_STR line 1", '"x"'),
-             "pretrain-data-vocab-above-model": ("data.vocab_size", "model.vocab_size")}
+             "pretrain-data-vocab-above-model": ("data.vocab_size", "model.vocab_size"),
+             "surgery-unknown-key": ("'stagered'",),
+             "run-json-learned-max-len": ("'model.posenc.learned_max_len'",),
+             "steps-negative": ("steps", "-1"),
+             "len-min-zero": ("minimum length", "0"),
+             "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
+             "needle-block-6": ("needle_block",), "needle-decoys--1": ("needle_decoys",)}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):

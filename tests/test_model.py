@@ -54,6 +54,35 @@ class TestConfig:
         assert a.hash() != b.hash()
 
 
+class TestCheckJson:
+    """model.check_json, the one type check for config documents."""
+    WANT = {"n": 1, "x": 0.5, "s": "", "flag": False, "ids": [0], "any": None,
+            "sub": {"k": 1}}
+
+    @pytest.mark.parametrize("edit", [
+        {"x": 2}, {"any": [1, "a"]}, {"any": {"k": 1}}, {"ids": []}])
+    def test_accepts(self, edit):
+        M.check_json(self.WANT, {**self.WANT, **edit}, "doc")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"n": True}, "doc key 'n' must be int, got true"),       # an int takes no bool
+        ({"n": 1.0}, "doc key 'n' must be int, got 1.0"),
+        ({"flag": 0}, "doc key 'flag' must be bool, got 0"),
+        ({"ids": [1, "a"]}, "doc key 'ids' must be int, got \"a\""),
+        ({"sub": {"k": 1, "j": 2}}, "doc has unknown key 'sub.j'"),
+        ({"sub": {}}, "doc lacks key 'sub.k'"),
+        ({"sub": 3}, "doc key 'sub' must be dict, got 3"),
+    ])
+    def test_rejects_naming_the_dotted_key(self, edit, message):
+        with pytest.raises(M.ConfigError) as err:
+            M.check_json(self.WANT, {**self.WANT, **edit}, "doc")
+        assert str(err.value) == message
+
+    def test_root_must_be_object(self):
+        with pytest.raises(M.ConfigError, match="^doc must be dict, got \\[\\]$"):
+            M.check_json(self.WANT, [], "doc")
+
+
 class TestParamInventory:
     def test_global_local_delta_formula(self):
         base = tiny_config(Variant.BLOCK_LOCAL, block_size=8, enc_layers=3)
