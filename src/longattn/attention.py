@@ -1,12 +1,12 @@
 """Attention variants: full, block-local (optionally staggered), global-local,
-causal decoder self-attention, dense and global cross-attention.
+causal decoder self-attention and dense cross-attention.
 
 One kernel, _attend, computes every softmax(q k^T / sqrt(d) + bias) v, over
 any leading axes, with an optional allow-mask and additive bias. The entry
 points only shape its inputs:
 
 - full_attention: [h, Lq, d] queries against [h, Lk, d] keys. Causal
-  self-attention and both cross-attentions go through it.
+  self-attention and cross-attention go through it.
 - block_local_attention: the sequence is padded to a frame of whole blocks
   and viewed as [h, nb, b, d], so scores are [h, nb, b, b]. Staggering
   shifts block boundaries by half a block on odd layers by padding the frame
@@ -237,15 +237,8 @@ def causal_self_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def cross_attention(dec_q: Tensor, enc_k: Tensor, enc_v: Tensor) -> Tensor:
-    """Dense decoder-to-encoder attention (no mask)."""
+    """Dense decoder attention over encoder token or global states (no mask)."""
     return full_attention(dec_q, enc_k, enc_v)
-
-
-def global_cross_attention(dec_q: Tensor, glob_k: Tensor, glob_v: Tensor) -> Tensor:
-    """Decoder attention over the g global representations only."""
-    if glob_k.shape[1] < 1:
-        raise ValueError("global cross-attention needs at least one global token")
-    return full_attention(dec_q, glob_k, glob_v)
 
 
 # ---------------------------------------------------------------------------

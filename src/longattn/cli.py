@@ -23,6 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import adapt as AD
 from . import bench as B
 from . import data as D
@@ -112,6 +114,14 @@ def resolve_config(command: str, config_path: str | None, sets: list[str]) -> di
     return cfg
 
 
+def _require_positive(cfg: dict, *keys: str) -> None:
+    """A ConfigError naming the first dotted key whose value is below 1."""
+    for key in keys:
+        section, name = key.split(".")
+        if cfg[section][name] < 1:
+            raise ConfigError(f"config key '{key}' must be >= 1, got {cfg[section][name]}")
+
+
 def _git_describe() -> str:
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -143,6 +153,8 @@ def cmd_gen_data(cfg: dict, out: Path, seed: int, args) -> int:
 
 
 def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
+    _require_positive(cfg, "data.sentences_short", "data.sentences_long",
+                      "schedule.output_len")
     mcfg = ModelConfig.from_dict(cfg["model"])
     sc = cfg["schedule"]
     schedule = D.build_schedule(sc["shape"], sc["total_budget"], sc["short_len"],
@@ -262,11 +274,8 @@ def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
 def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
     if not args.ckpt:
         raise ConfigError("eval needs --ckpt")
+    _require_positive(cfg, "decode.beam_size", "decode.max_len")
     dc = cfg["decode"]
-    if dc["beam_size"] < 1:
-        raise ConfigError(f"decode.beam_size must be >= 1, got {dc['beam_size']}")
-    if dc["max_len"] < 1:
-        raise ConfigError(f"decode.max_len must be >= 1, got {dc['max_len']}")
     mcfg, params = AD.load(args.ckpt)
     pairs = _read_pairs(cfg, args, mcfg.vocab_size)
     outputs = [(beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"], dc["max_len"]),
@@ -296,8 +305,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
                           f"got {json.dumps(lengths)}")
     if not bc["variants"]:
         raise ConfigError("config key 'bench.variants' must name at least one variant")
-    if bc["repeats"] < 1:
-        raise ConfigError(f"config key 'bench.repeats' must be >= 1, got {bc['repeats']}")
+    _require_positive(cfg, "bench.repeats")
     h, hd = bc["num_heads"], bc["head_dim"]
     specs = []
     for name in bc["variants"]:
@@ -367,7 +375,10 @@ def main(argv: list[str] | None = None) -> int:
             seed = int(os.environ.get("LONGATTN_SEED", "0"))
         out = Path(args.out)
         write_run_json(out, args.command, cfg, seed)
-        return COMMANDS[args.command](cfg, out, seed, args)
+        # _check_finite reports a NaN/Inf naming its op; NumPy's own warning
+        # about it would add lines to stderr
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg, out, seed, args)
     except FloatingPointError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3

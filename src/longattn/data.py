@@ -93,6 +93,8 @@ def gen_corpus(kind: str, n_docs: int, len_dist, V: int, seed: int,
     """
     if V <= FIRST_CONTENT + 1:
         raise ValueError(f"vocab size {V} leaves no content tokens")
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
     lo, hi = len_dist
     if lo < 1:
         raise ValueError(f"minimum length must be >= 1, got {lo}")

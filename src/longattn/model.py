@@ -142,12 +142,23 @@ def _trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
     return out * std
 
 
+def _cross_sublayers(cfg: ModelConfig, i: int) -> tuple:
+    """Decoder layer i's cross-attention sublayers in the order they run:
+    "gx" attends to the encoder's global states, "cross" to its token states."""
+    if i not in cfg.cross_layers():
+        return ()
+    return ("gx", "cross") if cfg.decoder_global_attn else ("cross",)
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    """Ordered parameter-name -> shape inventory for a config."""
+    """Ordered parameter-name -> shape inventory for a config; init_params
+    draws in this order."""
     d, dff, V = cfg.d_model, cfg.d_ff, cfg.vocab_size
     spec = cfg.attention
-    shapes: dict[str, tuple] = {}
-    shapes["embed.tok"] = (V, d)
+    ln = lambda p: {p + ".gain": (d,), p + ".bias": (d,)}
+    attn = lambda p: {f"{p}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")}
+    ffn = lambda p: {p + ".w1": (d, dff), p + ".w2": (dff, d)}
+    shapes: dict[str, tuple] = {"embed.tok": (V, d)}
     if cfg.posenc.scheme == Scheme.LEARNED_ABSOLUTE:
         shapes["embed.pos_enc"] = (cfg.max_input_len, d)
         shapes["embed.pos_dec"] = (cfg.max_output_len, d)
@@ -158,42 +169,18 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
         shapes["posenc.bias_dec"] = (cfg.num_heads, cfg.posenc.t5_num_buckets)
     for i in range(cfg.enc_layers):
         p = f"enc.{i}."
-        shapes[p + "ln1.gain"] = (d,)
-        shapes[p + "ln1.bias"] = (d,)
+        shapes |= ln(p + "ln1")
         if spec.variant == Variant.GLOBAL_LOCAL:
-            shapes[p + "ln1g.gain"] = (d,)
-            shapes[p + "ln1g.bias"] = (d,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + "attn." + w] = (d, d)
-        shapes[p + "ln2.gain"] = (d,)
-        shapes[p + "ln2.bias"] = (d,)
-        shapes[p + "ffn.w1"] = (d, dff)
-        shapes[p + "ffn.w2"] = (dff, d)
-    shapes["enc.final_ln.gain"] = (d,)
-    shapes["enc.final_ln.bias"] = (d,)
-    xl = cfg.cross_layers()
+            shapes |= ln(p + "ln1g")
+        shapes |= attn(p + "attn") | ln(p + "ln2") | ffn(p + "ffn")
+    shapes |= ln("enc.final_ln")
     for i in range(cfg.dec_layers):
         p = f"dec.{i}."
-        shapes[p + "ln1.gain"] = (d,)
-        shapes[p + "ln1.bias"] = (d,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + "self." + w] = (d, d)
-        if i in xl:
-            if cfg.decoder_global_attn:
-                shapes[p + "gx.ln.gain"] = (d,)
-                shapes[p + "gx.ln.bias"] = (d,)
-                for w in ("wq", "wk", "wv", "wo"):
-                    shapes[p + "gx." + w] = (d, d)
-            shapes[p + "cross.ln.gain"] = (d,)
-            shapes[p + "cross.ln.bias"] = (d,)
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[p + "cross." + w] = (d, d)
-        shapes[p + "ln2.gain"] = (d,)
-        shapes[p + "ln2.bias"] = (d,)
-        shapes[p + "ffn.w1"] = (d, dff)
-        shapes[p + "ffn.w2"] = (dff, d)
-    shapes["dec.final_ln.gain"] = (d,)
-    shapes["dec.final_ln.bias"] = (d,)
+        shapes |= ln(p + "ln1") | attn(p + "self")
+        for s in _cross_sublayers(cfg, i):
+            shapes |= ln(p + s + ".ln") | attn(p + s)
+        shapes |= ln(p + "ln2") | ffn(p + "ffn")
+    shapes |= ln("dec.final_ln")
     if not cfg.tie_embeddings:
         shapes["out_proj"] = (d, V)
     return shapes
@@ -252,7 +239,8 @@ def _ffn(params, prefix: str, x: Tensor) -> Tensor:
 
 
 def _maybe_rope(cfg: ModelConfig, x: Tensor, positions) -> Tensor:
-    if cfg.posenc.scheme == Scheme.ROPE:
+    """RoPE at `positions` under the RoPE scheme; None means no positions."""
+    if cfg.posenc.scheme == Scheme.ROPE and positions is not None:
         return P.rope_apply(x, positions, cfg.posenc.sinusoidal_factor)
     return x
 
@@ -334,9 +322,9 @@ class DecodeState:
     """The caches a decoding request keeps between decoder passes; a
     teacher-forced pass makes a fresh one.
 
-    `cross` maps each layer in cfg.cross_layers() to its cross-attention K/V
-    (gk, gv, ck, cv), projected from the encoder states when that layer first
-    runs; gk/gv are None without decoder_global_attn. `self_kv` maps each
+    `cross` maps each cross sublayer's prefix ("dec.1.cross", "dec.1.gx") to
+    its (k, v), projected from the encoder token or global states when that
+    sublayer first runs; every hypothesis shares them. `self_kv` maps each
     decoder layer to its self-attention (k, v) so far: [h, t, hd] for one
     sequence, [batch * h, t, hd] with the hypotheses folded into the heads.
     """
@@ -344,7 +332,7 @@ class DecodeState:
     def __init__(self):
         self.t = 0            # positions decoded so far
         self.batch = 0        # sequences: set by the first pass and by reorder
-        self.cross: dict[int, tuple] = {}
+        self.cross: dict[str, tuple[Tensor, Tensor]] = {}
         self.self_kv: dict[int, tuple[Tensor, Tensor]] = {}
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -374,7 +362,7 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
     `out_ids` is one sequence (B = 1, n = len(out_ids)) on a fresh state.
     With a DecodeState it is one incremental step: `out_ids` holds the newest
     token of each of B hypotheses (n = 1). The new self-attention K/V go into
-    the state, and each cross layer fills in its K/V the first time it runs.
+    the state, and each cross sublayer fills in its K/V the first time it runs.
     """
     if len(out_ids) < 1:
         raise ValueError("decoder input must be non-empty")
@@ -391,7 +379,6 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         raise ValueError("decoder_global_attn set but no global states supplied")
     drop = lambda x: T.dropout(x, cfg.dropout_p, training, rng)
     h = cfg.num_heads
-    xl = cfg.cross_layers()
     pos = np.arange(t0, t0 + n)
     qpos = np.tile(pos, B)                 # the cross queries' rows are B x n
 
@@ -423,26 +410,17 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         attn = A.causal_self_attention(q, k, v, bias=dec_bias)
         x = T.add(x, drop(T.matmul(merge(attn), params[p + "self.wo"])))
 
-        if i in xl:
-            if i not in state.cross:
-                gk = gv = None
-                if cfg.decoder_global_attn:
-                    gk = _project_heads(enc_glob, params[p + "gx.wk"], h)
-                    gv = _project_heads(enc_glob, params[p + "gx.wv"], h)
-                ck = _maybe_rope(cfg, _project_heads(enc_tok, params[p + "cross.wk"], h),
-                                 np.arange(enc_tok.shape[0]))
-                cv = _project_heads(enc_tok, params[p + "cross.wv"], h)
-                state.cross[i] = (gk, gv, ck, cv)
-            gk, gv, ck, cv = state.cross[i]
-            if gk is not None:
-                hq = _ln(params, p + "gx.ln", x)
-                gq = _project_heads(hq, params[p + "gx.wq"], h)
-                gx = A.global_cross_attention(gq, gk, gv)
-                x = T.add(x, drop(T.matmul(_merge_heads(gx), params[p + "gx.wo"])))
-            hq = _ln(params, p + "cross.ln", x)
-            cq = _maybe_rope(cfg, _project_heads(hq, params[p + "cross.wq"], h), qpos)
-            cx = A.cross_attention(cq, ck, cv)
-            x = T.add(x, drop(T.matmul(_merge_heads(cx), params[p + "cross.wo"])))
+        for s in _cross_sublayers(cfg, i):
+            sp, glob = p + s, s == "gx"          # global states have no positions
+            if sp not in state.cross:
+                src = enc_glob if glob else enc_tok
+                k = _project_heads(src, params[sp + ".wk"], h)
+                k = _maybe_rope(cfg, k, None if glob else np.arange(src.shape[0]))
+                state.cross[sp] = (k, _project_heads(src, params[sp + ".wv"], h))
+            k, v = state.cross[sp]
+            q = _project_heads(_ln(params, sp + ".ln", x), params[sp + ".wq"], h)
+            attn = A.cross_attention(_maybe_rope(cfg, q, None if glob else qpos), k, v)
+            x = T.add(x, drop(T.matmul(_merge_heads(attn), params[sp + ".wo"])))
 
         x = T.add(x, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
 

@@ -338,21 +338,21 @@ class TestCausalAndCross:
         rng = np.random.default_rng(20)
         q = Tensor(rng.standard_normal((2, 5, 4)))
         gk, gv = (Tensor(rng.standard_normal((2, 1, 4))) for _ in range(2))
-        out = A.global_cross_attention(q, gk, gv)
+        out = A.cross_attention(q, gk, gv)
         assert np.allclose(out.data, np.broadcast_to(gv.data, (2, 5, 4)))
 
     def test_global_cross_matches_oracle(self):
         rng = np.random.default_rng(21)
         q = Tensor(rng.standard_normal((2, 4, 4)))
         gk, gv = (Tensor(rng.standard_normal((2, 3, 4))) for _ in range(2))
-        out = A.global_cross_attention(q, gk, gv)
+        out = A.cross_attention(q, gk, gv)
         assert np.abs(out.data - loop_attention(q.data, gk.data, gv.data)).max() < 1e-10
 
     def test_global_cross_empty_rejected(self):
         q = Tensor(np.zeros((1, 2, 4)))
         empty = Tensor(np.zeros((1, 0, 4)))
         with pytest.raises((ValueError, T.ShapeError)):
-            A.global_cross_attention(q, empty, empty)
+            A.cross_attention(q, empty, empty)
 
 
 class TestAttentionCost:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,11 @@ class TestInputContract:
         "finetune-token-out-of-vocab": ["finetune", "--ckpt", "CKPT", "--data", "CORPUS",
                                         "--set", "train.steps=1"],
         "pretrain-data-vocab-above-model": ["pretrain", "--set", "model.vocab_size=16"],
+        "pretrain-sentences-short-zero": ["pretrain", "--set", "data.sentences_short=0"],
+        "pretrain-sentences-long-zero": ["pretrain", "--set", "data.sentences_long=0"],
+        "pretrain-output-len-zero": ["pretrain", "--set", "schedule.output_len=0"],
+        "n-docs-negative": ["gen-data", "--set", "data.n_docs=-1"],
+        "n-docs-zero": ["gen-data", "--set", "data.n_docs=0"],
     }
     # what the message of some cases must name
     NAMED = {"truncated-params": ("params.bin",),
@@ -386,6 +393,10 @@ class TestInputContract:
              "surgery-unknown-key": ("'stagered'",),
              "run-json-learned-max-len": ("'model.posenc.learned_max_len'",),
              "steps-negative": ("steps", "-1"),
+             "pretrain-sentences-short-zero": ("'data.sentences_short'",),
+             "pretrain-sentences-long-zero": ("'data.sentences_long'",),
+             "pretrain-output-len-zero": ("'schedule.output_len'",),
+             "n-docs-negative": ("n_docs", "-1"), "n-docs-zero": ("n_docs", "0"),
              "len-min-zero": ("minimum length", "0"),
              "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
              "needle-block-6": ("needle_block",), "needle-decoys--1": ("needle_decoys",)}
@@ -428,11 +439,19 @@ class TestInputContract:
 
     def test_numeric_error_still_exits_3(self, tmp_path, capsys):
         run(["gen-data", "--out", tmp_path / "g", "--set", "data.n_docs=2"])
-        rc = run(["finetune", "--out", tmp_path / "f", "--data", tmp_path / "g" / "corpus.jsonl",
-                  "--set", "train.steps=3", "--set", "train.warmup=1",
-                  "--set", "train.lr=1e308"])
-        assert rc == 3
+        args = ["finetune", "--out", tmp_path / "f", "--data", tmp_path / "g" / "corpus.jsonl",
+                "--set", "train.steps=3", "--set", "train.warmup=1", "--set", "train.lr=1e308"]
+        assert run(args) == 3
         assert capsys.readouterr().err.startswith("numeric error: ")
+        # a process of its own shows NumPy's warnings, which pytest captures here
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "longattn.cli",
+                               *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("numeric error: ")
 
 
 class TestPretrainCommand:

@@ -114,6 +114,47 @@ class TestParamInventory:
                        for n in names)
         assert any(n.startswith("dec.1.cross") for n in names)
 
+    # init_params draws in this order, so it fixes every initial value; the
+    # two configs between them have every optional parameter group
+    INVENTORIES = [
+        (dict(variant=Variant.GLOBAL_LOCAL, block_size=4, num_global=2,
+              scheme=Scheme.T5_RELATIVE, enc_layers=1, decoder_global_attn=True,
+              cross_attn_layers=(1,)),
+         ["embed.tok", "embed.global", "posenc.bias_enc", "posenc.bias_dec",
+          "enc.0.ln1.gain", "enc.0.ln1.bias", "enc.0.ln1g.gain", "enc.0.ln1g.bias",
+          "enc.0.attn.wq", "enc.0.attn.wk", "enc.0.attn.wv", "enc.0.attn.wo",
+          "enc.0.ln2.gain", "enc.0.ln2.bias", "enc.0.ffn.w1", "enc.0.ffn.w2",
+          "enc.final_ln.gain", "enc.final_ln.bias",
+          "dec.0.ln1.gain", "dec.0.ln1.bias",
+          "dec.0.self.wq", "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo",
+          "dec.0.ln2.gain", "dec.0.ln2.bias", "dec.0.ffn.w1", "dec.0.ffn.w2",
+          "dec.1.ln1.gain", "dec.1.ln1.bias",
+          "dec.1.self.wq", "dec.1.self.wk", "dec.1.self.wv", "dec.1.self.wo",
+          "dec.1.gx.ln.gain", "dec.1.gx.ln.bias",
+          "dec.1.gx.wq", "dec.1.gx.wk", "dec.1.gx.wv", "dec.1.gx.wo",
+          "dec.1.cross.ln.gain", "dec.1.cross.ln.bias",
+          "dec.1.cross.wq", "dec.1.cross.wk", "dec.1.cross.wv", "dec.1.cross.wo",
+          "dec.1.ln2.gain", "dec.1.ln2.bias", "dec.1.ffn.w1", "dec.1.ffn.w2",
+          "dec.final_ln.gain", "dec.final_ln.bias"]),
+        (dict(scheme=Scheme.LEARNED_ABSOLUTE, enc_layers=1, dec_layers=1,
+              tie_embeddings=False),
+         ["embed.tok", "embed.pos_enc", "embed.pos_dec",
+          "enc.0.ln1.gain", "enc.0.ln1.bias",
+          "enc.0.attn.wq", "enc.0.attn.wk", "enc.0.attn.wv", "enc.0.attn.wo",
+          "enc.0.ln2.gain", "enc.0.ln2.bias", "enc.0.ffn.w1", "enc.0.ffn.w2",
+          "enc.final_ln.gain", "enc.final_ln.bias",
+          "dec.0.ln1.gain", "dec.0.ln1.bias",
+          "dec.0.self.wq", "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo",
+          "dec.0.cross.ln.gain", "dec.0.cross.ln.bias",
+          "dec.0.cross.wq", "dec.0.cross.wk", "dec.0.cross.wv", "dec.0.cross.wo",
+          "dec.0.ln2.gain", "dec.0.ln2.bias", "dec.0.ffn.w1", "dec.0.ffn.w2",
+          "dec.final_ln.gain", "dec.final_ln.bias", "out_proj"]),
+    ]
+
+    @pytest.mark.parametrize("kw, names", INVENTORIES)
+    def test_names_and_order_pinned(self, kw, names):
+        assert list(M.param_shapes(tiny_config(**kw))) == names
+
     def test_init_layer_norms(self):
         cfg = tiny_config()
         params = M.init_params(cfg, 0)
