@@ -1,7 +1,7 @@
 """Checkpoint format and weight-surgery recipes.
 
 A checkpoint is a directory:
-    manifest.json  -- {"format_version": 1, "params": {name: {shape, dtype, offset}}}
+    manifest.json  -- {"format_version": 1, "sha256": <of params.bin>, "params": {name: {shape, dtype, offset}}}
     params.bin     -- little-endian float32 blob, concatenated in manifest order
     config.json    -- the ModelConfig the parameters belong to
 
@@ -22,6 +22,9 @@ from .tensor import Tensor
 from .model import ModelConfig, check_json, param_shapes
 from .attention import AttentionSpec, Variant
 from .posenc import Scheme, replicate
+# after the package modules, which load hashlib first (model.py): loading it ahead of
+# them moves perfbench train-long into a slower allocator layout (+8% step time)
+import hashlib  # noqa: E402
 
 FORMAT_VERSION = 1
 
@@ -31,17 +34,18 @@ class CheckpointError(ValueError):
 
 
 class Checkpoint:
-    """In-memory named-parameter store with float32 array values."""
+    """Float32 arrays of exactly param_shapes(config), in its order; any other
+    inventory is a CheckpointError naming `source`."""
 
-    def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray], source="params"):
+        expect = param_shapes(config)
+        _check_inventory(expect, {k: np.shape(v) for k, v in arrays.items()}, source)
         self.config = config
-        self.arrays = {k: np.asarray(v, dtype="<f4") for k, v in arrays.items()}
+        self.arrays = {k: np.asarray(arrays[k], dtype="<f4") for k in expect}
 
     @classmethod
     def from_params(cls, config: ModelConfig, params: dict[str, Tensor]) -> "Checkpoint":
-        expect = param_shapes(config)
-        _check_inventory(expect, {k: v.shape for k, v in params.items()}, "params")
-        return cls(config, {k: params[k].data for k in expect})
+        return cls(config, {k: p.data for k, p in params.items()})
 
     def to_params(self) -> dict[str, Tensor]:
         return {k: Tensor(np.asarray(v, dtype=np.float64), requires_grad=True)
@@ -50,22 +54,21 @@ class Checkpoint:
     def save(self, path) -> None:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        manifest: dict = {"format_version": FORMAT_VERSION, "params": {}}
-        offset = 0
-        blobs = []
+        entries, offset = {}, 0
         for name, arr in self.arrays.items():
-            manifest["params"][name] = {
-                "shape": list(arr.shape), "dtype": "float32", "offset": offset}
-            raw = arr.tobytes()
-            blobs.append(raw)
-            offset += len(raw)
+            entries[name] = {"shape": list(arr.shape), "dtype": "float32", "offset": offset}
+            offset += arr.nbytes
+        blob = b"".join(arr.tobytes() for arr in self.arrays.values())
+        manifest = {"format_version": FORMAT_VERSION,
+                    "sha256": hashlib.sha256(blob).hexdigest(), "params": entries}
         (path / "manifest.json").write_text(json.dumps(manifest, indent=1))
-        (path / "params.bin").write_bytes(b"".join(blobs))
+        (path / "params.bin").write_bytes(blob)
         (path / "config.json").write_text(json.dumps(self.config.to_dict(), indent=1))
 
     @classmethod
     def load_dir(cls, path) -> "Checkpoint":
-        """Read a checkpoint; malformed metadata, or parameters other than
+        """Read a checkpoint; malformed metadata, a params.bin that fails the
+        manifest's sha256 (older manifests have none), or parameters other than
         param_shapes(config), is a ValueError naming the file and key. config.json
         is checked by `model.check_json`, as the CLI's configs are."""
         path = Path(path)
@@ -100,8 +103,9 @@ class Checkpoint:
                     f"parameter '{name}' ({4 * n} bytes at offset {off}) runs past the "
                     f"end of {bpath} ({len(blob)} bytes)")
             arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        _check_inventory(param_shapes(config), {k: a.shape for k, a in arrays.items()}, mpath)
-        return cls(config, arrays)
+        if "sha256" in manifest and manifest["sha256"] != hashlib.sha256(blob).hexdigest():
+            raise CheckpointError(f"{bpath} does not match the sha256 in {mpath}")
+        return cls(config, arrays, mpath)
 
 
 def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple], source) -> None:
@@ -146,7 +150,7 @@ def port_to_local(ckpt: Checkpoint, new_attn: AttentionSpec) -> Checkpoint:
     if ckpt.config.attention.variant == Variant.GLOBAL_LOCAL:
         raise CheckpointError("source already has global parameters; cannot port to plain local")
     cfg = replace(ckpt.config, attention=new_attn)
-    return Checkpoint(cfg, dict(ckpt.arrays))
+    return Checkpoint(cfg, ckpt.arrays)
 
 
 def port_to_global_local(ckpt: Checkpoint, new_attn: AttentionSpec, rng_seed: int) -> Checkpoint:
@@ -169,8 +173,7 @@ def port_to_global_local(ckpt: Checkpoint, new_attn: AttentionSpec, rng_seed: in
     for i in range(cfg.enc_layers):
         new_arrays[f"enc.{i}.ln1g.gain"] = ckpt.arrays[f"enc.{i}.ln1.gain"].copy()
         new_arrays[f"enc.{i}.ln1g.bias"] = ckpt.arrays[f"enc.{i}.ln1.bias"].copy()
-    ordered = {name: new_arrays[name] for name in param_shapes(cfg)}
-    return Checkpoint(cfg, ordered)
+    return Checkpoint(cfg, new_arrays)
 
 
 def replicate_positions(ckpt: Checkpoint, new_max_len: int) -> Checkpoint:
@@ -183,10 +186,8 @@ def replicate_positions(ckpt: Checkpoint, new_max_len: int) -> Checkpoint:
     if new_max_len < old:
         raise CheckpointError(f"new_max_len {new_max_len} < current {old}")
     cfg = replace(ckpt.config, max_input_len=new_max_len)
-    new_arrays = dict(ckpt.arrays)
-    new_arrays["embed.pos_enc"] = replicate(
-        np.asarray(ckpt.arrays["embed.pos_enc"]), new_max_len)
-    return Checkpoint(cfg, {name: new_arrays[name] for name in param_shapes(cfg)})
+    pos = replicate(np.asarray(ckpt.arrays["embed.pos_enc"]), new_max_len)
+    return Checkpoint(cfg, {**ckpt.arrays, "embed.pos_enc": pos})
 
 
 def drop_cross_attention(ckpt: Checkpoint, keep_layers) -> Checkpoint:

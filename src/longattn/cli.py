@@ -1,16 +1,16 @@
 """Operator surface: reproducible experiment runs over the library modules.
 
-Every subcommand takes --config <json> plus dotted overrides --set key=value,
-draws all randomness from --seed (env LONGATTN_SEED as fallback), and writes
-its artifacts plus a run.json (resolved config + seed + git describe) under
---out. Re-running a subcommand from a run.json reproduces artifacts
-bit-identically.
-
-Values from a file (or run.json's "config") and --set are merged onto the
-defaults, and `model.check_json` checks the result once. Exit
-codes: 0 ok, 2 bad input (any ValueError or OSError: a bad config value, file
-or record), 3 numeric error (NaN/Inf), 4 acceptance failure; `main` is the one
-place that maps exceptions to them, with one line on stderr.
+A run's inputs are its config. `resolve_config` builds it, later over earlier:
+the command's defaults, env LONGATTN_SEED (as "seed"), the --config file (or a
+run.json's "config"), each dotted --set key=value, then --seed, --ckpt and
+--data (as "seed", "ckpt" and "data.path"); `model.check_json` checks it once.
+Each run writes its artifacts and a run.json (that config + git describe) under
+--out, so --config <run.json> alone reruns it bit-identically. Paths are kept as
+given, relative to the working directory; an older run.json kept its seed beside
+its config, and that seed is read. Exit codes: 0 ok, 2 bad input (any ValueError
+or OSError: a bad config value, file or record), 3 numeric error (NaN/Inf), 4
+acceptance failure; `main` is the one place that maps exceptions to them, with
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ DEFAULT_MODEL = ModelConfig().to_dict()
 
 DEFAULTS: dict[str, dict] = {
     "gen-data": {
+        "seed": 0,
         "data": {"kind": "copy", "n_docs": 200, "len_min": 8, "len_max": 16,
                  "vocab_size": 64, "needle_block": 32, "needle_decoys": 3,
                  "seed_offset": 0},
     },
     "pretrain": {
-        "model": DEFAULT_MODEL,
+        "seed": 0, "model": DEFAULT_MODEL,
         "schedule": {"shape": "S75L25", "total_budget": 4096, "short_len": 16,
                      "long_len": 64, "batch": 2, "base_mask_ratio": 0.45,
                      "output_len": 32},
@@ -51,28 +52,27 @@ DEFAULTS: dict[str, dict] = {
         "data": {"n_docs": 64, "sentences_short": 4, "sentences_long": 16,
                  "vocab_size": 64},
     },
-    "adapt": {
-        "surgery": {"chain": []},
-    },
+    "adapt": {"seed": 0, "ckpt": "", "surgery": {"chain": []}},
     "finetune": {
-        "model": DEFAULT_MODEL,
+        "seed": 0, "ckpt": "", "model": DEFAULT_MODEL,
         "train": {"steps": 200, "batch": 4, "lr": 1e-3, "warmup": 50,
                   "log_every": 50},
         "data": {"path": ""},
     },
     "eval": {
+        "seed": 0, "ckpt": "",
         "decode": {"beam_size": 1, "alpha": 0.0, "max_len": 32},
         "data": {"path": ""},
     },
     "bench": {
+        "seed": 0,
         "bench": {"lengths": [256, 512, 1024], "block_size": 64, "num_global": 32,
                   "num_heads": 4, "head_dim": 16, "repeats": 3,
                   "variants": ["full", "block_local", "global_local"],
                   "baseline": None, "check_ordering": True},
     },
-    "dump-mask": {
-        "mask": {"L": 64, "layer": 0, "block_size": 16, "staggered": True},
-    },
+    "dump-mask": {"seed": 0, "mask": {"L": 64, "layer": 0, "block_size": 16,
+                                      "staggered": True}},
 }
 
 
@@ -85,31 +85,37 @@ def _merge(base, override):
     return {**base, **{k: _merge(base.get(k), v) for k, v in override.items()}}
 
 
-def _parse_set(assignment: str) -> dict:
-    """'a.b=v' -> {"a": {"b": v}}, with v parsed as JSON where it parses."""
+def _parse_set(assignment: str) -> tuple[str, object]:
+    """'a.b=v' -> ("a.b", v), with v parsed as JSON where it parses."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got '{assignment}'")
     key, raw = assignment.split("=", 1)
     try:
-        override = json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        override = raw
-    for part in reversed(key.split(".")):
-        override = {part: override}
-    return override
+        return key, raw
 
 
-def resolve_config(command: str, config_path: str | None, sets: list[str]) -> dict:
+def resolve_config(command: str, config_path: str | None, sets: list[str],
+                   flags=()) -> dict:
+    """The run's config: the defaults, LONGATTN_SEED, the config file, each
+    --set, then `flags`, the (dotted key, value) pairs of --seed/--ckpt/--data."""
     cfg = copy.deepcopy(DEFAULTS[command])
+    if "LONGATTN_SEED" in os.environ:
+        cfg["seed"] = int(os.environ["LONGATTN_SEED"])
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
         if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
-            loaded = loaded["config"]                    # a run.json
+            if "seed" in loaded:         # a run.json from before "seed" was a config key
+                cfg["seed"] = loaded["seed"]
+            loaded = loaded["config"]
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path} must hold a JSON object")
         cfg = _merge(cfg, loaded)
-    for s in sets:
-        cfg = _merge(cfg, _parse_set(s))
+    for key, value in [*map(_parse_set, sets), *flags]:
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        cfg = _merge(cfg, value)
     check_json(DEFAULTS[command], cfg, "config")
     return cfg
 
@@ -131,20 +137,19 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def write_run_json(out: Path, command: str, cfg: dict, seed: int) -> None:
+def write_run_json(out: Path, command: str, cfg: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.json").write_text(json.dumps(
-        {"command": command, "config": cfg, "seed": seed,
-         "git": _git_describe()}, indent=1))
+        {"command": command, "config": cfg, "git": _git_describe()}, indent=1))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(cfg: dict, out: Path, seed: int, args) -> int:
+def cmd_gen_data(cfg: dict, out: Path) -> int:
     d = cfg["data"]
     docs = D.gen_corpus(d["kind"], d["n_docs"], (d["len_min"], d["len_max"]),
-                        d["vocab_size"], seed + d["seed_offset"],
+                        d["vocab_size"], cfg["seed"] + d["seed_offset"],
                         needle_block=d["needle_block"],
                         needle_decoys=d["needle_decoys"])
     D.write_jsonl(docs, out / "corpus.jsonl")
@@ -152,7 +157,7 @@ def cmd_gen_data(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
+def cmd_pretrain(cfg: dict, out: Path) -> int:
     _require_positive(cfg, "data.sentences_short", "data.sentences_long",
                       "schedule.output_len")
     mcfg = ModelConfig.from_dict(cfg["model"])
@@ -165,7 +170,7 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
     if dcfg["vocab_size"] > mcfg.vocab_size:
         raise ConfigError(f"data.vocab_size {dcfg['vocab_size']} exceeds the model's "
                           f"vocabulary (model.vocab_size {mcfg.vocab_size})")
-    params = init_params(mcfg, seed)
+    params = init_params(mcfg, cfg["seed"])
     losses: list = []
     for pi, phase in enumerate(schedule.phases):
         n_sent = (dcfg["sentences_short"] if phase.input_len == sc["short_len"]
@@ -173,17 +178,17 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, args) -> int:
         sent_len = max(1, phase.input_len // n_sent)
         docs = D.gen_corpus("copy", dcfg["n_docs"],
                             (sent_len * n_sent, sent_len * n_sent),
-                            dcfg["vocab_size"], seed + 1000 + pi)
+                            dcfg["vocab_size"], cfg["seed"] + 1000 + pi)
         examples = []
         for di, doc in enumerate(docs):
             sents = [doc.flat()[i:i + sent_len]
                      for i in range(0, len(doc.flat()), sent_len)]
             gdoc = D.SyntheticDoc(sents)
-            inp, tgt = D.gsg_mask(gdoc, phase.mask_ratio, seed + 2000 + di)
+            inp, tgt = D.gsg_mask(gdoc, phase.mask_ratio, cfg["seed"] + 2000 + di)
             examples.append((inp[:mcfg.max_input_len],
                              tgt[:min(phase.output_len, mcfg.max_output_len)]))
         TR.train(mcfg, params, examples, phase.steps, sc["batch"],
-                 seed + 3000 + pi, lr=cfg["train"]["lr"],
+                 cfg["seed"] + 3000 + pi, lr=cfg["train"]["lr"],
                  warmup=cfg["train"]["warmup"], loss_log=losses)
         AD.save(mcfg, params, out / f"ckpt_phase{pi}")
     AD.save(mcfg, params, out / "ckpt_final")
@@ -206,10 +211,10 @@ SURGERY_KEYS = {"local": {"block_size": 0}, "global_local": {"block_size": 0, "n
                 "replicate_positions": {"new_max_len": 0}, "drop_cross": {"keep_layers": [0]}}
 
 
-def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
-    if not args.ckpt:
-        raise ConfigError("adapt needs --ckpt")
-    ckpt = AD.Checkpoint.load_dir(args.ckpt)
+def cmd_adapt(cfg: dict, out: Path) -> int:
+    if not cfg["ckpt"]:
+        raise ConfigError("adapt needs --ckpt (or ckpt in config)")
+    ckpt = AD.Checkpoint.load_dir(cfg["ckpt"])
     for op in cfg["surgery"]["chain"]:
         if not isinstance(op, dict):
             raise ConfigError(f"surgery.chain entries are objects, got {json.dumps(op)}")
@@ -228,7 +233,7 @@ def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
             spec = AttentionSpec(Variant.GLOBAL_LOCAL, op["block_size"],
                                  op["num_global"], op["staggered"],
                                  src.num_heads, src.head_dim)
-            ckpt = AD.port_to_global_local(ckpt, spec, rng_seed=seed)
+            ckpt = AD.port_to_global_local(ckpt, spec, rng_seed=cfg["seed"])
         elif name == "replicate_positions":
             ckpt = AD.replicate_positions(ckpt, op["new_max_len"])
         else:
@@ -238,12 +243,12 @@ def cmd_adapt(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def _read_pairs(cfg: dict, args, vocab_size: int) -> list[tuple]:
-    """(input, target) pairs from --data or data.path; a token id outside the
-    model's vocabulary is a ValueError naming its corpus line."""
-    data_path = args.data or cfg["data"]["path"]
+def _read_pairs(cfg: dict, vocab_size: int) -> list[tuple]:
+    """(input, target) pairs from data.path; a token id outside the model's
+    vocabulary is a ValueError naming its corpus line."""
+    data_path = cfg["data"]["path"]
     if not data_path:
-        raise ConfigError(f"{args.command} needs --data (or data.path in config)")
+        raise ConfigError("no corpus: give --data (or data.path in config)")
     pairs = TR.docs_to_pairs(D.read_jsonl(data_path))
     for n, (inp, tgt) in enumerate(pairs, 1):
         bad = [t for t in (*inp, *tgt) if type(t) is not int or not 0 <= t < vocab_size]
@@ -253,16 +258,16 @@ def _read_pairs(cfg: dict, args, vocab_size: int) -> list[tuple]:
     return pairs
 
 
-def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
-    if args.ckpt:
-        mcfg, params = AD.load(args.ckpt)
+def cmd_finetune(cfg: dict, out: Path) -> int:
+    if cfg["ckpt"]:
+        mcfg, params = AD.load(cfg["ckpt"])
     else:
         mcfg = ModelConfig.from_dict(cfg["model"])
-        params = init_params(mcfg, seed)
-    pairs = _read_pairs(cfg, args, mcfg.vocab_size)
+        params = init_params(mcfg, cfg["seed"])
+    pairs = _read_pairs(cfg, mcfg.vocab_size)
     tr = cfg["train"]
     losses: list = []
-    TR.train(mcfg, params, pairs, tr["steps"], tr["batch"], seed,
+    TR.train(mcfg, params, pairs, tr["steps"], tr["batch"], cfg["seed"],
              lr=tr["lr"], warmup=tr["warmup"], log_every=tr["log_every"],
              loss_log=losses)
     AD.save(mcfg, params, out / "ckpt")
@@ -271,13 +276,13 @@ def cmd_finetune(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
-    if not args.ckpt:
-        raise ConfigError("eval needs --ckpt")
+def cmd_eval(cfg: dict, out: Path) -> int:
+    if not cfg["ckpt"]:
+        raise ConfigError("eval needs --ckpt (or ckpt in config)")
     _require_positive(cfg, "decode.beam_size", "decode.max_len")
     dc = cfg["decode"]
-    mcfg, params = AD.load(args.ckpt)
-    pairs = _read_pairs(cfg, args, mcfg.vocab_size)
+    mcfg, params = AD.load(cfg["ckpt"])
+    pairs = _read_pairs(cfg, mcfg.vocab_size)
     outputs = [(beam_decode(mcfg, params, inp, dc["beam_size"], dc["alpha"], dc["max_len"]),
                 tgt) for inp, tgt in pairs]
     report = R.corpus_report(outputs)
@@ -293,7 +298,7 @@ def cmd_eval(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
+def cmd_bench(cfg: dict, out: Path) -> int:
     bc = cfg["bench"]
     bl, lengths = bc["baseline"], bc["lengths"]
     if bl is not None and not (isinstance(bl, list) and len(bl) == 2
@@ -315,7 +320,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
             bc["num_global"] if v == Variant.GLOBAL_LOCAL else 0,
             False, h, hd))
     rows = B.run_scaling(specs, lengths, repeats=bc["repeats"],
-                         baseline=None if bl is None else tuple(bl), seed=seed)
+                         baseline=None if bl is None else tuple(bl), seed=cfg["seed"])
     (out / "scaling.csv").write_text(B.rows_to_csv(rows))
     print(B.rows_to_csv(rows))
     if bc["check_ordering"]:
@@ -326,7 +331,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, args) -> int:
     return 0
 
 
-def cmd_dump_mask(cfg: dict, out: Path, seed: int, args) -> int:
+def cmd_dump_mask(cfg: dict, out: Path) -> int:
     mc = cfg["mask"]
     layout = make_block_layout(mc["L"], mc["block_size"], mc["layer"],
                                mc["staggered"])
@@ -357,28 +362,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None)
         p.add_argument("--set", action="append", default=[], dest="sets",
                        metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", default="runs/out")
         if name in ("adapt", "finetune", "eval"):
-            p.add_argument("--ckpt", default="")
+            p.add_argument("--ckpt")
         if name in ("finetune", "eval"):
-            p.add_argument("--data", default="")
+            p.add_argument("--data", dest="data.path")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    flags = [(k, v) for k, v in vars(args).items()
+             if k in ("seed", "ckpt", "data.path") and v is not None]
     try:
-        cfg = resolve_config(args.command, args.config, args.sets)
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("LONGATTN_SEED", "0"))
+        cfg = resolve_config(args.command, args.config, args.sets, flags)
         out = Path(args.out)
-        write_run_json(out, args.command, cfg, seed)
+        write_run_json(out, args.command, cfg)
         # _check_finite reports a NaN/Inf naming its op; NumPy's own warning
         # about it would add lines to stderr
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](cfg, out, seed, args)
+            return COMMANDS[args.command](cfg, out)
     except FloatingPointError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3

@@ -336,18 +336,11 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
     live = targets != ignore_id
     if live.any() and (targets[live].min() < 0 or targets[live].max() >= V):
         raise IndexError(f"target id out of range [0, {V})")
-    n = int(live.sum())
+    n = max(int(live.sum()), 1)              # no live position: loss 0, gradient 0
     x = logits.data
     z = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
-    if n == 0:
-        out = Tensor(0.0)
-
-        def backward(g):
-            logits.accumulate_grad(np.zeros_like(x))
-        return _record(out, (logits,), backward, "cross_entropy")
-
     tgt = np.where(live, targets, 0)
     picked = logp[np.arange(T), tgt]
     out = Tensor(-(picked * live).sum() / n)

@@ -81,6 +81,8 @@ def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if not lr > 0:
+        raise ValueError(f"learning rate must be > 0, got {lr}")
     if steps < 0:
         raise ValueError(f"training steps must be >= 0, got {steps}")
     if not examples:

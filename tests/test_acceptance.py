@@ -416,14 +416,12 @@ class TestCliSmoke:
         metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert 0.0 <= metrics["exact_match"] <= 1.0
 
-        # rerunning each stage from its run.json reproduces artifacts
+        # rerunning each stage from its run.json alone reproduces artifacts
         rc = cli.main(["gen-data", "--out", str(tmp_path / "data2"),
-                       "--seed", "11",
                        "--config", str(tmp_path / "data" / "run.json")])
         assert rc == 0
         assert corpus.read_bytes() == (tmp_path / "data2" / "corpus.jsonl").read_bytes()
         rc = cli.main(["finetune", "--out", str(tmp_path / "ft2"),
-                       "--data", str(corpus), "--seed", "12",
                        "--config", str(tmp_path / "ft" / "run.json")])
         assert rc == 0
         assert (tmp_path / "ft" / "ckpt" / "params.bin").read_bytes() == \

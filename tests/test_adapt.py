@@ -102,8 +102,9 @@ class TestRoundTrip:
         (p / "manifest.json").write_text(json.dumps(manifest))
         (p / "params.bin").write_bytes(blob)
         (p / "config.json").write_text(json.dumps(cfg_full().to_dict()))
-        ck = Checkpoint.load_dir(p)
+        ck = Checkpoint.load_dir(p)                  # a manifest without a sha256 loads
         assert all(np.array_equal(ck.arrays[k], a) for k, a in arrays.items())
+        assert list(ck.arrays) == list(shapes)
 
     def test_config_hash_guard(self, tmp_path):
         cfg = make_config(Variant.BLOCK_LOCAL, block_size=8, staggered=True,

@@ -40,12 +40,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("gen-data", None, ["data.n_docs"])
 
-    def test_run_json_unwrapped(self, tmp_path):
+    def test_run_json_unwrapped(self, tmp_path, monkeypatch):
+        # the layout of a run.json from before "seed" was a config key
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"command": "gen-data", "seed": 3,
                                  "config": {"data": {"n_docs": 7}}}))
+        monkeypatch.setenv("LONGATTN_SEED", "99")
         cfg = resolve_config("gen-data", str(p), [])
-        assert cfg["data"]["n_docs"] == 7
+        assert cfg["data"]["n_docs"] == 7 and cfg["seed"] == 3
 
 
 class TestExitCodes:
@@ -75,13 +77,13 @@ class TestSeedHandling:
         monkeypatch.setenv("LONGATTN_SEED", "17")
         run(["gen-data", "--out", tmp_path, "--set", "data.n_docs=2"])
         rj = json.loads((tmp_path / "run.json").read_text())
-        assert rj["seed"] == 17
+        assert rj["config"]["seed"] == 17
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LONGATTN_SEED", "17")
         run(["gen-data", "--out", tmp_path, "--seed", 4, "--set", "data.n_docs=2"])
         rj = json.loads((tmp_path / "run.json").read_text())
-        assert rj["seed"] == 4
+        assert rj["config"]["seed"] == 4
 
     def test_same_seed_same_corpus(self, tmp_path):
         run(["gen-data", "--out", tmp_path / "a", "--seed", 9, "--set", "data.n_docs=6"])
@@ -98,16 +100,48 @@ class TestRunJson:
         assert rj["config"]["data"]["n_docs"] == 3
         assert "git" in rj
 
-    def test_rerun_from_run_json_bit_identical(self, tmp_path):
+    def test_rerun_from_run_json_bit_identical(self, tmp_path, monkeypatch):
         run(["gen-data", "--out", tmp_path / "a", "--seed", 5,
              "--set", "data.kind=needle", "--set", "data.n_docs=4",
              "--set", "data.needle_decoys=1",
              "--set", "data.len_min=128", "--set", "data.len_max=128"])
-        rc = run(["gen-data", "--out", tmp_path / "b", "--seed", 5,
+        monkeypatch.setenv("LONGATTN_SEED", "99")
+        rc = run(["gen-data", "--out", tmp_path / "b",
                   "--config", tmp_path / "a" / "run.json"])
         assert rc == 0
         assert (tmp_path / "a" / "corpus.jsonl").read_bytes() == \
                (tmp_path / "b" / "corpus.jsonl").read_bytes()
+
+    # each stage run with its seed, checkpoint and corpus given as flags, and
+    # the artifacts its rerun from the run.json alone must reproduce
+    STAGES = {
+        "pretrain": (["pretrain", "--seed", 3, "--set", "schedule.shape=S100",
+                      "--set", "schedule.total_budget=64"], ["ckpt_final/params.bin", "loss.csv"]),
+        "adapt": (["adapt", "--seed", 7, "--ckpt", "CKPT", "--set", 'surgery.chain=[{"op": '
+                   '"global_local", "block_size": 8, "num_global": 2}]'], ["ckpt/params.bin"]),
+        "finetune-fresh": (["finetune", "--seed", 4, "--data", "CORPUS",
+                            "--set", "train.steps=2"], ["ckpt/params.bin", "loss.csv"]),
+        "finetune-ckpt": (["finetune", "--seed", 4, "--ckpt", "CKPT", "--data", "CORPUS",
+                           "--set", "train.steps=2"], ["ckpt/params.bin", "loss.csv"]),
+        "eval": (["eval", "--seed", 2, "--ckpt", "CKPT", "--data", "CORPUS",
+                  "--set", "decode.max_len=4"], ["rouge.csv", "metrics.json"]),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_rerun_from_run_json_alone(self, tmp_path, monkeypatch, stage):
+        from longattn import data as D
+        D.write_jsonl(D.gen_corpus("copy", 3, (4, 6), 16, seed=0), tmp_path / "d.jsonl")
+        files = {"CKPT": tiny_ckpt(tmp_path / "ck"), "CORPUS": tmp_path / "d.jsonl"}
+        argv, artifacts = self.STAGES[stage]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run([files.get(x, x) for x in argv] + ["--out", a]) == 0
+        monkeypatch.setenv("LONGATTN_SEED", "99")
+        assert run([argv[0], "--out", b, "--config", a / "run.json"]) == 0
+        for name in artifacts:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        rj_a, rj_b = (json.loads((d / "run.json").read_text()) for d in (a, b))
+        assert rj_a["config"] == rj_b["config"]
+        assert rj_a["config"]["seed"] == argv[argv.index("--seed") + 1]
 
 
 class TestDumpMask:
@@ -259,11 +293,13 @@ class TestInputContract:
     @pytest.fixture
     def files(self, tmp_path):
         run(["gen-data", "--out", tmp_path / "g", "--set", "data.n_docs=4"])
-        truncated = tiny_ckpt(tmp_path / "trunc")
-        blob = truncated / "params.bin"
-        blob.write_bytes(blob.read_bytes()[:100])
-        paths = {"CORPUS": tmp_path / "g" / "corpus.jsonl", "CKPT": tiny_ckpt(tmp_path / "ck"),
-                 "TRUNC": truncated}
+        paths = {"CORPUS": tmp_path / "g" / "corpus.jsonl", "CKPT": tiny_ckpt(tmp_path / "ck")}
+        # checkpoints with a truncated params.bin, and with one byte flipped
+        for name, edit in {"TRUNC": lambda b: b[:100],
+                           "FLIPPED": lambda b: bytes([b[0] ^ 1]) + b[1:]}.items():
+            paths[name] = tiny_ckpt(tmp_path / name)
+            blob = paths[name] / "params.bin"
+            blob.write_bytes(edit(blob.read_bytes()))
         for name, (file, edit) in self.BROKEN.items():
             paths[name] = tiny_ckpt(tmp_path / name)
             f = paths[name] / file
@@ -306,6 +342,9 @@ class TestInputContract:
         "len-min-above-max": ["gen-data", "--set", "data.len_min=20", "--set", "data.len_max=4"],
         "malformed-config": ["gen-data", "--config", "BAD_CONFIG"],
         "batch-zero": ["finetune", "--data", "CORPUS", "--set", "train.batch=0"],
+        "lr-negative": ["finetune", "--data", "CORPUS", "--set", "train.lr=-0.01",
+                        "--set", "train.steps=1"],
+        "lr-zero": ["pretrain", "--set", "train.lr=0"],
         "lr-string": ["finetune", "--data", "CORPUS", "--set", 'train.lr="x"'],
         "empty-corpus": ["finetune", "--data", "EMPTY"],
         "record-without-sentences": ["finetune", "--data", "NO_SENTENCES"],
@@ -315,6 +354,7 @@ class TestInputContract:
         "target-not-list": ["eval", "--ckpt", "CKPT", "--data", "TARGET_INT"],
         "token-not-int": ["eval", "--ckpt", "CKPT", "--data", "TOKEN_STR"],
         "truncated-params": ["eval", "--ckpt", "TRUNC", "--data", "CORPUS"],
+        "params-byte-flipped": ["adapt", "--ckpt", "FLIPPED"],
         "mask-length-zero": ["dump-mask", "--set", "mask.L=0"],
         "budget-not-whole-steps": ["pretrain", "--set", "schedule.total_budget=1000"],
         "surgery-missing-key": ["adapt", "--ckpt", "CKPT",
@@ -370,6 +410,8 @@ class TestInputContract:
     }
     # what the message of some cases must name
     NAMED = {"truncated-params": ("params.bin",),
+             "params-byte-flipped": ("params.bin", "sha256", "manifest.json"),
+             "lr-negative": ("learning rate", "-0.01"), "lr-zero": ("learning rate",),
              "bench-baseline-not-pair": ("'bench.baseline'",),
              "bench-length-zero": ("'bench.lengths'",), "bench-no-lengths": ("'bench.lengths'",),
              "bench-no-variants": ("'bench.variants'",), "bench-repeats-zero": ("'bench.repeats'",),
@@ -463,8 +505,7 @@ class TestPretrainCommand:
         assert (a / "ckpt_final" / "params.bin").exists()
         rows = (a / "loss.csv").read_text().splitlines()
         assert rows[0] == "step,loss" and len(rows) == 1 + 1024 // (2 * 16)
-        rc = run(["pretrain", "--out", tmp_path / "b", "--seed", 3,
-                  "--config", a / "run.json"])
+        rc = run(["pretrain", "--out", tmp_path / "b", "--config", a / "run.json"])
         assert rc == 0
         for name in ("ckpt_final/params.bin", "ckpt_final/manifest.json", "loss.csv"):
             assert (a / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
