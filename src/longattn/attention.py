@@ -114,7 +114,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     allowed key come out zero. `bias` may carry grad."""
     nd = q.data.ndim
     kt = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = T.mul(T.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
+    scores = T.matmul(T.mul(q, 1.0 / np.sqrt(q.shape[-1])), kt)   # scale q, not the larger scores
     if bias is not None:
         scores = T.add(scores, bias)
     if allow is None:

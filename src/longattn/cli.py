@@ -99,10 +99,14 @@ def _parse_set(assignment: str) -> tuple[str, object]:
 def resolve_config(command: str, config_path: str | None, sets: list[str],
                    flags=()) -> dict:
     """The run's config: the defaults, LONGATTN_SEED, the config file, each
-    --set, then `flags`, the (dotted key, value) pairs of --seed/--ckpt/--data."""
+    --set, then `flags`, the (dotted key, value) pairs of --seed/--ckpt/--data.
+    A finetune from a checkpoint takes the checkpoint's model config."""
     cfg = copy.deepcopy(DEFAULTS[command])
-    if "LONGATTN_SEED" in os.environ:
-        cfg["seed"] = int(os.environ["LONGATTN_SEED"])
+    env_seed = os.environ.get("LONGATTN_SEED", str(cfg["seed"]))
+    try:
+        cfg["seed"] = int(env_seed)
+    except ValueError:
+        raise ConfigError(f"LONGATTN_SEED must be an integer, got {env_seed!r}") from None
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
         if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
@@ -117,6 +121,13 @@ def resolve_config(command: str, config_path: str | None, sets: list[str],
             value = {part: value}
         cfg = _merge(cfg, value)
     check_json(DEFAULTS[command], cfg, "config")
+    if command == "finetune" and cfg["ckpt"]:
+        saved = AD.Checkpoint.load_dir(cfg["ckpt"]).config.to_dict()
+        key = next((k for k in saved if cfg["model"][k] != saved[k]), None)
+        if key and cfg["model"] != DEFAULT_MODEL:
+            raise ConfigError(f"config 'model' must be the defaults or checkpoint {cfg['ckpt']}'s "
+                              f"config, and differs from the latter at 'model.{key}'")
+        cfg["model"] = saved
     return cfg
 
 
@@ -259,11 +270,8 @@ def _read_pairs(cfg: dict, vocab_size: int) -> list[tuple]:
 
 
 def cmd_finetune(cfg: dict, out: Path) -> int:
-    if cfg["ckpt"]:
-        mcfg, params = AD.load(cfg["ckpt"])
-    else:
-        mcfg = ModelConfig.from_dict(cfg["model"])
-        params = init_params(mcfg, cfg["seed"])
+    mcfg = ModelConfig.from_dict(cfg["model"])
+    params = AD.load(cfg["ckpt"])[1] if cfg["ckpt"] else init_params(mcfg, cfg["seed"])
     pairs = _read_pairs(cfg, mcfg.vocab_size)
     tr = cfg["train"]
     losses: list = []

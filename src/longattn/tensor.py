@@ -5,9 +5,9 @@ requires_grad set; inference runs tape-free and allocates nothing extra.
 A one-input op is recorded only when its input requires grad, so its
 backward rule needs no check; a rule of several inputs skips those that do not.
 Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
-ndarray or float operand in a Tensor that needs no grad. Gradients are
-never updated in place, so a backward rule may hand one array to several
-parents.
+ndarray or float operand in a Tensor that needs no grad. An op writes only
+into arrays it allocated, never into inputs, gradients or arrays saved for
+backward, so a backward rule may hand one array to several parents.
 Every forward op checks its output for NaN/Inf and raises on violation.
 """
 
@@ -50,7 +50,7 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -150,15 +150,25 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = np.multiply(x, x, out=np.empty_like(x))   # an array for 0-d x too; x ** 3 calls pow
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5 * x
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-        a.accumulate_grad(g * d)
-    return _record(out, (a,), backward, "gelu")
+        d = np.multiply(x, x, out=np.empty_like(x))   # 0.5 (1 + t + (1 - t^2) x inner')
+        d *= 3 * 0.044715 * _GELU_C
+        d += _GELU_C
+        d *= 1.0 - t * t            # before x: x^3 overflows, and 0 * inf is NaN, from |x| 1e103
+        d *= x
+        d += 1.0 + t
+        d *= 0.5 * g
+        a.accumulate_grad(d)
+    return _record(Tensor(out), (a,), backward, "gelu")
 
 
 def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -282,8 +292,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(s)
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(s * (g - dot))
+        gs = g * s
+        np.subtract(g, gs.sum(axis=axis, keepdims=True), out=gs)
+        a.accumulate_grad(np.multiply(gs, s, out=gs))
     return _record(out, (a,), backward, "softmax")
 
 
@@ -294,11 +305,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs last extent {d}")
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu                   # centred here, normalised in place below
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -310,7 +322,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             t1 = gx.mean(axis=-1, keepdims=True)
             t2 = (gx * xhat).mean(axis=-1, keepdims=True)
             a.accumulate_grad(inv * (gx - t1 - xhat * t2))
-    return _record(out, (a, gain, bias), backward, "layer_norm")
+    return _record(Tensor(out), (a, gain, bias), backward, "layer_norm")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

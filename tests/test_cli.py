@@ -143,6 +143,16 @@ class TestRunJson:
         assert rj_a["config"] == rj_b["config"]
         assert rj_a["config"]["seed"] == argv[argv.index("--seed") + 1]
 
+    def test_finetune_from_ckpt_records_the_checkpoints_model(self, tmp_path):
+        from longattn import data as D
+        D.write_jsonl(D.gen_corpus("copy", 3, (4, 6), 16, seed=0), tmp_path / "d.jsonl")
+        ck = tiny_ckpt(tmp_path / "ck")
+        assert run(["finetune", "--out", tmp_path / "f", "--ckpt", ck,
+                    "--data", tmp_path / "d.jsonl", "--set", "train.steps=1"]) == 0
+        rj = json.loads((tmp_path / "f" / "run.json").read_text())
+        assert rj["config"]["model"] == json.loads((ck / "config.json").read_text())
+        assert rj["config"]["model"] != cli.DEFAULT_MODEL
+
 
 class TestDumpMask:
     def test_pbm_and_csv(self, tmp_path):
@@ -304,7 +314,11 @@ class TestInputContract:
             paths[name] = tiny_ckpt(tmp_path / name)
             f = paths[name] / file
             f.write_text(json.dumps(edit(json.loads(f.read_text()))))
+        # the checkpoint's own model config with one value changed
+        model = json.loads((paths["CKPT"] / "config.json").read_text())
         texts = {"BAD_CONFIG": '{"data": {"n_docs": 3', "EMPTY": "", "NO_SENTENCES": "{}\n",
+                 "CKPT_MODEL_D_FF": json.dumps({"model": {**model, "d_ff": 8}}),
+                 "IN_VOCAB": '{"sentences": [[6, 7, 8]], "target": [6]}\n',
                  "NOT_JSON": "xx\n", "NO_TARGET": '{"sentences": [[6, 7, 8]]}\n',
                  "FLAT_SENTENCES": '{"sentences": [6, 7], "target": [6]}\n',
                  "TARGET_INT": '{"sentences": [[6, 7]], "target": 6}\n',
@@ -407,7 +421,13 @@ class TestInputContract:
         "pretrain-output-len-zero": ["pretrain", "--set", "schedule.output_len=0"],
         "n-docs-negative": ["gen-data", "--set", "data.n_docs=-1"],
         "n-docs-zero": ["gen-data", "--set", "data.n_docs=0"],
+        "seed-env-not-int": ["dump-mask"],
+        "finetune-model-not-the-checkpoints": ["finetune", "--ckpt", "CKPT", "--data", "IN_VOCAB",
+                                               "--config", "CKPT_MODEL_D_FF",
+                                               "--set", "train.steps=1"],
     }
+    # environment variables a case sets
+    ENV = {"seed-env-not-int": {"LONGATTN_SEED": "abc"}}
     # what the message of some cases must name
     NAMED = {"truncated-params": ("params.bin",),
              "params-byte-flipped": ("params.bin", "sha256", "manifest.json"),
@@ -441,10 +461,14 @@ class TestInputContract:
              "n-docs-negative": ("n_docs", "-1"), "n-docs-zero": ("n_docs", "0"),
              "len-min-zero": ("minimum length", "0"),
              "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
-             "needle-block-6": ("needle_block",), "needle-decoys--1": ("needle_decoys",)}
+             "needle-block-6": ("needle_block",), "needle-decoys--1": ("needle_decoys",),
+             "seed-env-not-int": ("LONGATTN_SEED", "'abc'"),
+             "finetune-model-not-the-checkpoints": ("'model.d_ff'", "checkpoint")}
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, case):
+    def test_bad_input_exits_2_with_one_line(self, files, capsys, tmp_path, monkeypatch, case):
+        for name, value in self.ENV.get(case, {}).items():
+            monkeypatch.setenv(name, value)
         cmd, *rest = [files.get(a, a) for a in self.CASES[case]]
         capsys.readouterr()
         rc = run([cmd, "--out", tmp_path / "out"] + rest)

@@ -115,6 +115,37 @@ class TestElementwise:
         out = T.gelu(Tensor(xs))
         assert np.abs(out.data - ref).max() < 1e-10
 
+    def test_gelu_matches_formula_over_wide_range(self):
+        c = math.sqrt(2.0 / math.pi)
+        xs = np.concatenate([np.linspace(-30, 30, 6001), np.logspace(-300, 200, 501),
+                             -np.logspace(-300, 200, 501), [0.0, -0.0, 1e200, -1e200]])
+        with np.errstate(over="ignore"):
+            ref = 0.5 * xs * (1 + np.tanh(c * (xs + 0.044715 * xs ** 3)))
+            out = T.gelu(Tensor(xs)).data
+            # a 0-d x * x is a NumPy scalar, which cannot be written in place
+            zero_d = [T.gelu(Tensor(x)) for x in xs[::50]]
+        # relative to |x|, the output's scale: in the negative tail the formula
+        # itself loses digits in 1 + tanh, so a one-ulp change in x**3 moves a
+        # -0.0026 result by 2e-16
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.abs(xs))
+        assert all(y.shape == () and y.data.tobytes() == out[::50][i].tobytes()
+                   for i, y in enumerate(zero_d))
+
+    def test_gelu_grad_matches_formula(self):
+        c = math.sqrt(2.0 / math.pi)
+
+        def ref(x):
+            t = np.tanh(c * (x + 0.044715 * x ** 3))
+            return 0.5 * (1 + t) + 0.5 * x * (1 - t ** 2) * c * (1 + 3 * 0.044715 * x ** 2)
+        # beyond 1e154 x * x overflows and the gradient is NaN, as with x ** 2
+        x = np.concatenate([np.linspace(-30, 30, 6001), np.logspace(-300, 150, 451),
+                            -np.logspace(-300, 150, 451)])
+        with np.errstate(over="ignore"):
+            (g,), _ = grad_of(lambda a: T.tsum(T.gelu(a)), x)
+            assert np.abs(g - ref(x)).max() <= 1e-15
+        (g0,), _ = grad_of(T.gelu, -1.5)
+        assert g0.shape == () and abs(float(g0) - ref(-1.5)) <= 1e-15
+
     def test_dropout_p0_identity(self):
         x = Tensor(np.arange(6.0))
         assert T.dropout(x, 0.0, True, np.random.default_rng(0)) is x
@@ -266,6 +297,109 @@ class TestConstantOperands:
         assert out._parents[1].grad is None
         want = up if op is T.add else up * c
         assert np.array_equal(t.grad, want)
+
+
+def _closed_over_arrays(node):
+    """A tape node's output and every array its backward rule closes over."""
+    found = [node.data]
+    for cell in node._backward.__closure__ or ():
+        v = cell.cell_contents
+        for item in v if isinstance(v, (tuple, list)) else (v,):
+            if isinstance(item, Tensor):
+                found.append(item.data)
+            elif isinstance(item, np.ndarray):
+                found.append(item)
+    return found
+
+
+class _CheckedNodes(list):
+    """A tape's node list that copies each node's arrays when the node is
+    recorded and makes its backward rule check that it leaves its incoming
+    gradient unchanged."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept = []
+
+    def append(self, node):
+        super().append(node)
+        self.kept += [(arr, arr.copy()) for arr in _closed_over_arrays(node)]
+        rule = node._backward
+
+        def checked(g):
+            before = np.array(g, copy=True)
+            rule(g)
+            assert np.asarray(g).tobytes() == before.tobytes(), "gradient written in place"
+        node._backward = checked
+
+
+class TestInPlaceKernels:
+    """The kernels that compute in place write only into buffers they allocated:
+    every input, every array saved for backward and every incoming gradient is
+    bitwise the same after the forward pass of all later ops and the backward
+    pass."""
+
+    @staticmethod
+    def check(build, *arrays):
+        xs = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+        inputs = [x.data.copy() for x in xs]
+        with T.Tape() as tape:
+            tape.nodes = nodes = _CheckedNodes()
+            T.backward(build(*xs))
+        assert all(x.grad is not None for x in xs)
+        for x, before in zip(xs, inputs):
+            assert x.data.tobytes() == before.tobytes(), "input written in place"
+        for arr, before in nodes.kept:
+            assert arr.tobytes() == before.tobytes(), "saved array written in place"
+
+    @staticmethod
+    def weighted(out, seed=0):
+        """A scalar loss with a distinct upstream gradient per entry."""
+        return T.tsum(T.mul(out, np.random.default_rng(seed).standard_normal(out.shape)))
+
+    def test_gelu(self):
+        rng = np.random.default_rng(1)
+        self.check(lambda x: self.weighted(T.gelu(x)), 3 * rng.standard_normal((5, 7)))
+        self.check(lambda x: T.gelu(x), 0.7)
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(2)
+        self.check(lambda x, g, b: self.weighted(T.layer_norm(x, g, b)),
+                   rng.standard_normal((3, 4, 6)), rng.standard_normal(6),
+                   rng.standard_normal(6))
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax(self, axis):
+        rng = np.random.default_rng(3)
+        self.check(lambda x: self.weighted(T.softmax(x, axis=axis)),
+                   rng.standard_normal((3, 4, 5)))
+
+    def test_attend_full(self):
+        from longattn import attention as A
+        rng = np.random.default_rng(4)
+        mask = rng.random((1, 6, 6)) < 0.7
+        mask[0, 2] = False                   # a row with no allowed key
+        self.check(lambda q, k, v, bias: self.weighted(A.full_attention(q, k, v, mask, bias)),
+                   *rng.standard_normal((3, 2, 6, 4)), rng.standard_normal((2, 6, 6)))
+
+    def test_attend_block_local(self):
+        from longattn import attention as A
+        rng = np.random.default_rng(5)
+        layout = A.make_block_layout(10, 4, 1, staggered=True)
+        self.check(lambda q, k, v, bias: self.weighted(
+                       A.block_local_attention(q, k, v, layout, bias)),
+                   *rng.standard_normal((3, 2, 10, 4)), rng.standard_normal((2, 4, 4)))
+
+    def test_attend_global_local(self):
+        from longattn import attention as A
+        rng = np.random.default_rng(6)
+        layout = A.make_block_layout(10, 4, 1, staggered=True)
+
+        def build(q, k, v, gq, gk, gv, bias):
+            tok, glob = A.global_local_attention(q, k, v, gq, gk, gv, layout, bias)
+            return T.add(self.weighted(tok), self.weighted(glob, seed=1))
+        self.check(build, *rng.standard_normal((3, 2, 10, 4)),
+                   *rng.standard_normal((3, 2, 3, 4)), rng.standard_normal((2, 4, 4)))
 
 
 class TestFiniteDiff:
