@@ -70,9 +70,9 @@ class Checkpoint:
         """Read a checkpoint; malformed metadata, a params.bin that fails the
         manifest's sha256 (older manifests have none), or parameters other than
         param_shapes(config), is a ValueError naming the file and key. config.json
-        is checked by `model.check_json`, as the CLI's configs are."""
+        is read by `load_config`."""
         path = Path(path)
-        mpath, cpath, bpath = path / "manifest.json", path / "config.json", path / "params.bin"
+        mpath, bpath = path / "manifest.json", path / "params.bin"
         manifest = json.loads(mpath.read_text())
         entries = manifest.get("params") if isinstance(manifest, dict) else None
         if not isinstance(entries, dict):
@@ -81,11 +81,7 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint format version {manifest.get('format_version')} "
                 f"!= supported {FORMAT_VERSION}")
-        raw = json.loads(cpath.read_text())
-        if type(raw) is dict and type(raw.get("posenc")) is dict:
-            raw["posenc"].pop("learned_max_len", None)   # in checkpoints from before its removal
-        check_json(ModelConfig().to_dict(), raw, str(cpath))
-        config = ModelConfig.from_dict(raw)
+        config = load_config(path)
         blob = bpath.read_bytes()
         arrays = {}
         for name, meta in entries.items():
@@ -106,6 +102,16 @@ class Checkpoint:
         if "sha256" in manifest and manifest["sha256"] != hashlib.sha256(blob).hexdigest():
             raise CheckpointError(f"{bpath} does not match the sha256 in {mpath}")
         return cls(config, arrays, mpath)
+
+
+def load_config(path) -> ModelConfig:
+    """A checkpoint's config.json, checked by `model.check_json` as the CLI's configs are."""
+    cpath = Path(path) / "config.json"
+    raw = json.loads(cpath.read_text())
+    if type(raw) is dict and type(raw.get("posenc")) is dict:
+        raw["posenc"].pop("learned_max_len", None)   # in checkpoints from before its removal
+    check_json(ModelConfig().to_dict(), raw, str(cpath))
+    return ModelConfig.from_dict(raw)
 
 
 def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple], source) -> None:

@@ -11,7 +11,9 @@ points only shape its inputs:
   and viewed as [h, nb, b, d], so scores are [h, nb, b, b]. Staggering
   shifts block boundaries by half a block on odd layers by padding the frame
   by b/2 on the left; pad keys are masked out. A block layout is fully
-  described by (seq_len, block_size, offset, pad_left, pad_right).
+  described by (seq_len, block_size, pad_left, pad_right), and one with no
+  padding pads nothing. encoder_layout gives each encoder layer its layout:
+  full attention is one block of L.
 - global_local_attention: the same blocks with the g global keys and values
   appended to every block ([h, nb, b, b + g] scores), plus the global
   queries attending to all L + g keys.
@@ -63,10 +65,8 @@ class AttentionSpec:
 class BlockLayout:
     seq_len: int
     block_size: int
-    offset: int            # 0 or block_size // 2
-    pad_left: int
+    pad_left: int          # 0, or block_size // 2 on a staggered odd layer
     pad_right: int
-    block_index: tuple     # block id per real position
 
     @property
     def frame_len(self) -> int:
@@ -76,16 +76,10 @@ class BlockLayout:
     def num_blocks(self) -> int:
         return self.frame_len // self.block_size
 
-    def pad_mask(self) -> np.ndarray:
-        """Boolean [frame_len]; True where the slot holds a real position."""
-        m = np.zeros(self.frame_len, dtype=bool)
-        m[self.pad_left:self.pad_left + self.seq_len] = True
-        return m
-
     def pair_mask(self) -> np.ndarray:
         """Boolean [L, L] over real positions: True iff i and j share a block."""
-        b = np.asarray(self.block_index)
-        return b[:, None] == b[None, :]
+        blk = (np.arange(self.seq_len) + self.pad_left) // self.block_size
+        return blk[:, None] == blk[None, :]
 
 
 def make_block_layout(L: int, b: int, layer_index: int, staggered: bool) -> BlockLayout:
@@ -96,12 +90,16 @@ def make_block_layout(L: int, b: int, layer_index: int, staggered: bool) -> Bloc
     shifted = staggered and layer_index % 2 == 1
     if shifted and b % 2 != 0:
         raise ValueError(f"staggered layout needs even block size, got {b}")
-    offset = b // 2 if shifted else 0
-    pad_left = offset
-    total = pad_left + L
-    pad_right = (-total) % b
-    blocks = tuple((i + offset) // b for i in range(L))
-    return BlockLayout(L, b, offset, pad_left, pad_right, blocks)
+    pad_left = b // 2 if shifted else 0
+    return BlockLayout(L, b, pad_left, (-(pad_left + L)) % b)
+
+
+def encoder_layout(spec: AttentionSpec, L: int, layer: int) -> BlockLayout:
+    """Encoder layer `layer`'s layout over L positions: one block of L under
+    full attention, else blocks of spec.block_size, shifted on odd layers
+    when staggered."""
+    b = L if spec.variant == Variant.FULL else spec.block_size
+    return make_block_layout(L, b, layer, spec.staggered)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +159,16 @@ def _blocks(x: Tensor, layout: BlockLayout, extra: Tensor | None = None) -> Tens
     return T.concat([xb, T.concat([one] * nb, axis=1)], axis=2)
 
 
+def _unblock(x: Tensor, layout: BlockLayout) -> Tensor:
+    """[h, nb, b, d] over the padded frame -> [h, L, d] over real positions."""
+    h, d = x.shape[0], x.shape[-1]
+    return T.narrow(T.reshape(x, (h, layout.frame_len, d)), 1, layout.pad_left, layout.seq_len)
+
+
 def _local(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout, bias,
            glob_k: Tensor | None = None, glob_v: Tensor | None = None) -> Tensor:
     """Each frame block's queries against its own keys (and the global keys,
-    when given): [h, nb, b, d] out. Pad keys are masked out; the [h, b, b]
+    when given): [h, L, d] out. Pad keys are masked out; the [h, b, b]
     bias is the same in every block and never applies to global keys."""
     _check_qkv(q, k, v)
     if layout.seq_len != q.shape[1]:
@@ -173,23 +177,22 @@ def _local(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout, bias,
     g = 0 if glob_k is None else glob_k.shape[1]
     allow = None
     if layout.pad_left or layout.pad_right:
-        keys = layout.pad_mask().reshape(1, nb, 1, b)
+        keys = np.pad(np.ones(layout.seq_len, dtype=bool), (layout.pad_left, layout.pad_right))
+        keys = keys.reshape(1, nb, 1, b)
         allow = np.concatenate([keys, np.ones((1, nb, 1, g), dtype=bool)], axis=-1)
     if bias is not None:
         bias = T.reshape(bias if isinstance(bias, Tensor) else Tensor(bias), (-1, 1, b, b))
-        if g:
-            bias = T.pad_axis(bias, 3, 0, g)
-    return _attend(_blocks(q, layout), _blocks(k, layout, glob_k),
-                   _blocks(v, layout, glob_v), allow, bias)
+        bias = T.pad_axis(bias, 3, 0, g)
+    out = _attend(_blocks(q, layout), _blocks(k, layout, glob_k),
+                  _blocks(v, layout, glob_v), allow, bias)
+    return _unblock(out, layout)
 
 
 def block_local_attention(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout,
                           bias: np.ndarray | Tensor | None = None) -> Tensor:
     """Attention restricted to non-overlapping blocks under `layout`; `bias`
     is one [h, b, b] relative-offset bias shared by every block."""
-    out = _local(q, k, v, layout, bias)
-    h, L, d = q.shape
-    return T.narrow(T.reshape(out, (h, layout.frame_len, d)), 1, layout.pad_left, L)
+    return _local(q, k, v, layout, bias)
 
 
 def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
@@ -209,9 +212,7 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
     _check_qkv(glob_q, glob_k, glob_v)
     if glob_q.shape[1] < 1:
         raise ValueError("global-local attention needs at least one global token")
-    out = _local(tok_q, tok_k, tok_v, layout, bias, glob_k, glob_v)
-    h, L, d = tok_q.shape
-    tok_out = T.narrow(T.reshape(out, (h, layout.frame_len, d)), 1, layout.pad_left, L)
+    tok_out = _local(tok_q, tok_k, tok_v, layout, bias, glob_k, glob_v)
     glob_out = _attend(glob_q, T.concat([tok_k, glob_k], axis=1),
                        T.concat([tok_v, glob_v], axis=1))
     return tok_out, glob_out
@@ -248,19 +249,13 @@ def attention_cost(spec: AttentionSpec, L: int) -> dict[str, int]:
     """Closed-form score-side MAC and score-element counts for one layer.
 
     Mirrors exactly the scores the attention kernels compute: the
-    block-diagonal term runs over the padded frame (frame_len * block_size
-    entries; the frame grows by a full block when staggered shifts apply),
-    and GlobalLocal adds token->global (frame_len * g) and global->all
-    (g * (L + g)) terms per head.
+    block-diagonal term runs over encoder_layout's padded frame (frame_len *
+    block_size entries; the frame grows by a full block when staggered shifts
+    apply), and GlobalLocal adds token->global (frame_len * g) and
+    global->all (g * (L + g)) terms per head.
     """
     h, d = spec.num_heads, spec.head_dim
-    if spec.variant == Variant.FULL:
-        elems = L * L
-    else:
-        layer = 1 if spec.staggered else 0
-        layout = make_block_layout(L, spec.block_size, layer, spec.staggered)
-        elems = layout.frame_len * spec.block_size
-        if spec.variant == Variant.GLOBAL_LOCAL:
-            g = spec.num_global
-            elems += layout.frame_len * g + g * (L + g)
+    layout = encoder_layout(spec, L, 1 if spec.staggered else 0)
+    g = spec.num_global if spec.variant == Variant.GLOBAL_LOCAL else 0
+    elems = layout.frame_len * (layout.block_size + g) + g * (L + g)
     return {"flops": h * elems * d, "score_mem_elems": h * elems}

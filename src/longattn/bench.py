@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as A
-from .attention import AttentionSpec, Variant, make_block_layout
+from .attention import AttentionSpec, Variant
 from .tensor import Tensor
 
 CSV_FIELDS = ["variant", "L", "b", "g", "wall_ms", "mac_count", "score_elems",
@@ -25,16 +25,11 @@ CSV_FIELDS = ["variant", "L", "b", "g", "wall_ms", "mac_count", "score_elems",
 def _run_once(spec: AttentionSpec, L: int, rng: np.random.Generator) -> None:
     h, d = spec.num_heads, spec.head_dim
     q, k, v = (Tensor(rng.standard_normal((h, L, d))) for _ in range(3))
-    if spec.variant == Variant.FULL:
-        A.full_attention(q, k, v)
-        return
-    layer = 1 if spec.staggered else 0
-    layout = make_block_layout(L, spec.block_size, layer, spec.staggered)
-    if spec.variant == Variant.BLOCK_LOCAL:
+    layout = A.encoder_layout(spec, L, 1 if spec.staggered else 0)
+    if spec.variant != Variant.GLOBAL_LOCAL:
         A.block_local_attention(q, k, v, layout)
     else:
-        g = spec.num_global
-        gq, gk, gv = (Tensor(rng.standard_normal((h, g, d))) for _ in range(3))
+        gq, gk, gv = (Tensor(rng.standard_normal((h, spec.num_global, d))) for _ in range(3))
         A.global_local_attention(q, k, v, gq, gk, gv, layout)
 
 

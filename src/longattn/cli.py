@@ -122,7 +122,7 @@ def resolve_config(command: str, config_path: str | None, sets: list[str],
         cfg = _merge(cfg, value)
     check_json(DEFAULTS[command], cfg, "config")
     if command == "finetune" and cfg["ckpt"]:
-        saved = AD.Checkpoint.load_dir(cfg["ckpt"]).config.to_dict()
+        saved = AD.load_config(cfg["ckpt"]).to_dict()
         key = next((k for k in saved if cfg["model"][k] != saved[k]), None)
         if key and cfg["model"] != DEFAULT_MODEL:
             raise ConfigError(f"config 'model' must be the defaults or checkpoint {cfg['ckpt']}'s "
@@ -341,9 +341,7 @@ def cmd_bench(cfg: dict, out: Path) -> int:
 
 def cmd_dump_mask(cfg: dict, out: Path) -> int:
     mc = cfg["mask"]
-    layout = make_block_layout(mc["L"], mc["block_size"], mc["layer"],
-                               mc["staggered"])
-    mask = layout.pair_mask()
+    mask = make_block_layout(mc["L"], mc["block_size"], mc["layer"], mc["staggered"]).pair_mask()
     pbm = [f"P1\n{mask.shape[1]} {mask.shape[0]}"]
     for row in mask:
         pbm.append(" ".join("1" if x else "0" for x in row))

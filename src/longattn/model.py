@@ -20,7 +20,7 @@ from . import tensor as T
 from . import posenc as P
 from . import attention as A
 from .tensor import Tensor
-from .attention import AttentionSpec, Variant, make_block_layout
+from .attention import AttentionSpec, Variant
 from .posenc import PosEncConfig, Scheme
 from .data import PAD_ID, EOS_ID, BOS_ID
 
@@ -259,13 +259,14 @@ def _embed(cfg: ModelConfig, params, ids, side: str, start: int, n: int) -> Tens
 
 
 def _enc_bias(cfg: ModelConfig, params, L: int):
-    """Encoder self-attention logit bias: [h, L, L] for full attention, else
-    the one [h, b, b] bias that every block shares."""
+    """Encoder self-attention logit bias: the one [h, b, b] bias that every
+    block of the encoder layout shares. Full attention is one block of L,
+    so its bias is [h, L, L]."""
     if cfg.posenc.scheme != Scheme.T5_RELATIVE:
         return None
-    pe, spec = cfg.posenc, cfg.attention
-    n = L if spec.variant == Variant.FULL else spec.block_size
-    return P.block_relative_bias(n, pe.t5_num_buckets, pe.t5_max_distance,
+    pe = cfg.posenc
+    b = A.encoder_layout(cfg.attention, L, 0).block_size
+    return P.block_relative_bias(b, pe.t5_num_buckets, pe.t5_max_distance,
                                  params["posenc.bias_enc"])
 
 
@@ -293,20 +294,16 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
         q = _maybe_rope(cfg, _project_heads(hx, params[p + "attn.wq"], h), pos)
         k = _maybe_rope(cfg, _project_heads(hx, params[p + "attn.wk"], h), pos)
         v = _project_heads(hx, params[p + "attn.wv"], h)
-        glob_o = None
-        if spec.variant == Variant.FULL:
-            attn = A.full_attention(q, k, v, bias=bias)
-        elif spec.variant == Variant.BLOCK_LOCAL:
-            layout = make_block_layout(L, spec.block_size, i, spec.staggered)
+        layout = A.encoder_layout(spec, L, i)
+        if glob is None:
             attn = A.block_local_attention(q, k, v, layout, bias=bias)
         else:
-            layout = make_block_layout(L, spec.block_size, i, spec.staggered)
             hg = _ln(params, p + "ln1g", glob)
             gq, gk, gv = (_project_heads(hg, params[p + "attn." + w], h)
                           for w in ("wq", "wk", "wv"))
             attn, glob_o = A.global_local_attention(q, k, v, gq, gk, gv, layout, bias=bias)
         x = T.add(x, drop(T.matmul(_merge_heads(attn), params[p + "attn.wo"])))
-        if glob_o is not None:
+        if glob is not None:
             glob = T.add(glob, drop(T.matmul(_merge_heads(glob_o), params[p + "attn.wo"])))
         x = T.add(x, drop(_ffn(params, p + "ffn", _ln(params, p + "ln2", x))))
         if glob is not None:

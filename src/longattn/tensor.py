@@ -253,7 +253,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries from `start` along `axis`."""
+    """Slice `length` entries from `start` along `axis`; the whole axis is `a`."""
+    if start == 0 and length == a.shape[axis]:
+        return a
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
@@ -267,6 +269,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
+    if before == 0 and after == 0:
+        return a
     width = [(0, 0)] * a.data.ndim
     width[axis] = (before, after)
     out = Tensor(np.pad(a.data, width))

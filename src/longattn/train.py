@@ -64,6 +64,10 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
     n = len(batch)
     grads = {k: g / n for k, g in grads.items()}
     norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
+    if not np.isfinite(norm):      # Adam would carry it into the parameters
+        bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
+        raise FloatingPointError(f"non-finite gradient of parameter '{bad}'" if bad
+                                 else "gradient norm overflows float64")
     if norm > clip:
         grads = {k: g * (clip / norm) for k, g in grads.items()}
     opt.step(grads)

@@ -43,19 +43,21 @@ def offset_bias(rng, h, b, L):
     return table[:, rel(b) + b - 1], table[:, rel(L) + b - 1]
 
 
+def blocks_of(lay):
+    """The real positions of each block, as pair_mask() groups them."""
+    return sorted({tuple(np.flatnonzero(row)) for row in lay.pair_mask()})
+
+
 class TestBlockLayout:
     def test_layer0_staggered(self):
         lay = make_block_layout(8, 4, 0, True)
-        assert lay.block_index == (0, 0, 0, 0, 1, 1, 1, 1)
+        assert blocks_of(lay) == [(0, 1, 2, 3), (4, 5, 6, 7)]
         assert lay.pad_left == 0 and lay.pad_right == 0
 
     def test_layer1_staggered_shifted(self):
         lay = make_block_layout(8, 4, 1, True)
         assert lay.pad_left == 2 and lay.pad_right == 2
-        groups = {}
-        for pos, blk in enumerate(lay.block_index):
-            groups.setdefault(blk, []).append(pos)
-        assert sorted(groups.values()) == [[0, 1], [2, 3, 4, 5], [6, 7]]
+        assert blocks_of(lay) == [(0, 1), (2, 3, 4, 5), (6, 7)]
 
     def test_unstaggered_layer_independent(self):
         for layer in range(4):
@@ -63,8 +65,15 @@ class TestBlockLayout:
 
     def test_every_position_in_one_block(self):
         lay = make_block_layout(37, 8, 1, True)
-        assert len(lay.block_index) == 37
-        assert all(0 <= b < lay.num_blocks for b in lay.block_index)
+        blocks = blocks_of(lay)
+        assert sorted(sum(blocks, ())) == list(range(37))
+        assert len(blocks) <= lay.num_blocks
+        assert all(len(blk) <= 8 for blk in blocks)
+
+    def test_full_attention_is_one_unpadded_block(self):
+        lay = A.encoder_layout(AttentionSpec(variant=Variant.FULL), 37, 1)
+        assert (lay.block_size, lay.pad_left, lay.pad_right) == (37, 0, 0)
+        assert lay.pair_mask().all()
 
     def test_odd_block_staggered_rejected(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,13 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("gen-data", None, ["data.n_docs"])
 
+    def test_finetune_reads_only_the_checkpoints_config(self, tmp_path):
+        # params.bin is read once, by the fine-tune's load, not to resolve the config
+        ck = tiny_ckpt(tmp_path / "ck")
+        (ck / "params.bin").write_bytes(b"")
+        cfg = resolve_config("finetune", None, [], [("ckpt", str(ck))])
+        assert cfg["model"] == json.loads((ck / "config.json").read_text())
+
     def test_run_json_unwrapped(self, tmp_path, monkeypatch):
         # the layout of a run.json from before "seed" was a config key
         p = tmp_path / "run.json"

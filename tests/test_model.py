@@ -338,6 +338,58 @@ class TestLoss:
         assert all(b <= a + 0.05 for a, b in zip(win, win[1:]))
         assert win[-1] < win[0] - 0.5
 
+    def test_non_finite_gradient_raises_before_adam(self):
+        # GELU's backward rule gives NaN beyond |x| = 1.3e154
+        cfg = tiny_config()
+        params = M.init_params(cfg, 0)
+        w1 = params["enc.0.ffn.w1"].data
+        w1[:] = 1e155 * np.sign(np.random.default_rng(0).standard_normal(w1.shape))
+        before = {k: p.data.copy() for k, p in params.items()}
+        opt = TR.Adam(params)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="gradient of parameter 'embed.tok'"):
+            TR.train_step(cfg, params, [([5, 6, 7, 8, 9], [10, 11, 2])], opt,
+                          np.random.default_rng(0), lr=1e-3)
+        assert opt.t == 0
+        assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
+
+
+UNPADDED = {"full": dict(variant=Variant.FULL),
+            "block_local": dict(variant=Variant.BLOCK_LOCAL, block_size=4)}
+
+
+class TestUnpaddedLayout:
+    """Full attention is one block of L, and blocks of 4 tile L = 8: neither
+    layout has padding, so the encoder records no pad or narrow node, and the
+    loss equals the one through dense full_attention (full) or through
+    contiguous copies of q, k and v (block-local)."""
+
+    @pytest.mark.parametrize("name", list(UNPADDED))
+    def test_no_pad_or_narrow_node_and_same_loss(self, name, monkeypatch):
+        cfg = tiny_config(**UNPADDED[name])
+        params = M.init_params(cfg, 0)
+        ids, target = list(range(3, 11)), [4, 5, 6, 2]
+        ops, record = [], T._record
+
+        def spy(out, parents, backward, op):
+            ops.append(op)
+            return record(out, parents, backward, op)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "_record", spy)
+            with T.Tape():
+                loss = M.seq2seq_loss(cfg, params, ids, target).item()
+        assert "matmul" in ops and not {"pad", "narrow"} & set(ops)
+
+        if name == "full":
+            kernel = lambda q, k, v, layout, bias=None: A.full_attention(q, k, v, bias=bias)
+        else:
+            copy = lambda x: T.mul(x, 1.0)
+            kernel = lambda q, k, v, layout, bias=None: A.block_local_attention(
+                copy(q), copy(k), copy(v), layout, bias)
+        monkeypatch.setattr(M, "A", SimpleNamespace(**{**vars(A), "block_local_attention": kernel}))
+        assert M.seq2seq_loss(cfg, params, ids, target).item() == loss
+
 
 def dense_encoder_attention(cfg, params):
     """Reference for every encoder attention variant, to stand in for the
@@ -348,12 +400,11 @@ def dense_encoder_attention(cfg, params):
     pairs and zero wherever a global takes part."""
     full = A.full_attention
 
-    def attend(tq, tk, tv, gq=None, gk=None, gv=None, layout=None):
+    def attend(tq, tk, tv, layout, gq=None, gk=None, gv=None):
         L = tq.shape[1]
         g = 0 if gq is None else gq.shape[1]
         allow = np.ones((1, L + g, L + g), dtype=bool)
-        if layout is not None:
-            allow[0, :L, :L] = layout.pair_mask()
+        allow[0, :L, :L] = layout.pair_mask()
         bias = None
         if cfg.posenc.scheme == Scheme.T5_RELATIVE:
             pe = cfg.posenc
@@ -368,12 +419,11 @@ def dense_encoder_attention(cfg, params):
 
     return SimpleNamespace(**{
         **vars(A),
-        "full_attention": lambda q, k, v, mask=None, bias=None: attend(q, k, v),
         "block_local_attention":
-            lambda q, k, v, layout, bias=None: attend(q, k, v, layout=layout),
+            lambda q, k, v, layout, bias=None: attend(q, k, v, layout),
         "global_local_attention":
             lambda tq, tk, tv, gq, gk, gv, layout, bias=None:
-                attend(tq, tk, tv, gq, gk, gv, layout),
+                attend(tq, tk, tv, layout, gq, gk, gv),
     })
 
 
