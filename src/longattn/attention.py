@@ -55,6 +55,9 @@ class AttentionSpec:
             raise ValueError(f"{self.variant.value} attention needs block_size >= 1")
         if self.variant == Variant.GLOBAL_LOCAL and self.num_global < 1:
             raise ValueError("GlobalLocal needs num_global >= 1")
+        if self.variant != Variant.GLOBAL_LOCAL and self.num_global != 0:
+            raise ValueError(f"num_global {self.num_global} needs variant global_local, "
+                             f"got {self.variant.value}")
         if self.staggered and self.variant == Variant.FULL:
             raise ValueError("staggered is meaningless for full attention")
         if self.staggered and self.block_size % 2 != 0:
@@ -87,6 +90,8 @@ def make_block_layout(L: int, b: int, layer_index: int, staggered: bool) -> Bloc
         raise ValueError(f"sequence length must be >= 1, got {L}")
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
+    if layer_index < 0:
+        raise ValueError(f"layer index must be >= 0, got {layer_index}")
     shifted = staggered and layer_index % 2 == 1
     if shifted and b % 2 != 0:
         raise ValueError(f"staggered layout needs even block size, got {b}")

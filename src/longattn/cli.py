@@ -121,6 +121,8 @@ def resolve_config(command: str, config_path: str | None, sets: list[str],
             value = {part: value}
         cfg = _merge(cfg, value)
     check_json(DEFAULTS[command], cfg, "config")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
     if command == "finetune" and cfg["ckpt"]:
         saved = AD.load_config(cfg["ckpt"]).to_dict()
         key = next((k for k in saved if cfg["model"][k] != saved[k]), None)
@@ -159,8 +161,11 @@ def write_run_json(out: Path, command: str, cfg: dict) -> None:
 
 def cmd_gen_data(cfg: dict, out: Path) -> int:
     d = cfg["data"]
+    seed = cfg["seed"] + d["seed_offset"]
+    if seed < 0:
+        raise ConfigError(f"config key 'data.seed_offset' gives seed {seed}, below 0")
     docs = D.gen_corpus(d["kind"], d["n_docs"], (d["len_min"], d["len_max"]),
-                        d["vocab_size"], cfg["seed"] + d["seed_offset"],
+                        d["vocab_size"], seed,
                         needle_block=d["needle_block"],
                         needle_decoys=d["needle_decoys"])
     D.write_jsonl(docs, out / "corpus.jsonl")

@@ -7,7 +7,8 @@ each with its stated tolerance and runtime budget.
 3.  Staggered boundaries let adjacent positions co-attend within any two
     consecutive layers (exhaustive mask enumeration).
 4.  Cross-block retrieval: non-staggered BlockLocal stays at chance while
-    staggered BlockLocal and GlobalLocal reach >= 90% exact match.
+    staggered BlockLocal and GlobalLocal reach >= 90% exact match; the arms,
+    corpus and schedule are scripts/stagger_ablation.py's.
 5.  Mask-ratio scaling reference value is exact.
 6.  Checkpoint surgery: parameter deltas, vocab-row global init, cross-attn
     removal arithmetic, and position replication stability.
@@ -31,13 +32,15 @@ from longattn import cli
 from longattn import data as D
 from longattn import rouge as R
 from longattn import tensor as T
-from longattn import train as TR
 from longattn.attention import (AttentionSpec, Variant, attention_cost,
                                 make_block_layout)
 from longattn.model import (count_params, decoder_forward, encoder_forward,
                             init_params, make_config, seq2seq_loss)
 from longattn.posenc import Scheme
+from repo_module import load_module
 from score_count import softmax_entries
+
+ablation = load_module("scripts/stagger_ablation.py")
 
 
 def toy_config(variant, **kw):
@@ -160,57 +163,36 @@ class TestStaggerReach:
 
 @pytest.mark.slow
 class TestCrossBlockRetrieval:
-    """Trains three small models on the cross-block retrieval task and
-    checks the direction of the effect: fixed block boundaries stay near
-    chance, while staggered boundaries or a global channel solve it."""
+    """Trains the three arms of scripts/stagger_ablation.py on its corpus and
+    schedule and checks the direction of the effect: fixed block boundaries
+    stay near chance, while staggered boundaries or a global channel solve
+    it."""
 
-    L, BLOCK, VOCAB = 256, 32, 64
-    DECOYS = 3
-    STEPS, EVAL_EVERY = 3000, 250
     TARGET_EM = 0.9
 
     @pytest.fixture(scope="class")
     def corpus(self):
-        train_docs = D.gen_corpus("needle", 2000, (self.L, self.L), self.VOCAB,
-                                  seed=1, needle_block=self.BLOCK,
-                                  needle_decoys=self.DECOYS)
-        test_docs = D.gen_corpus("needle", 50, (self.L, self.L), self.VOCAB,
-                                 seed=99, needle_block=self.BLOCK,
-                                 needle_decoys=self.DECOYS)
-        return TR.docs_to_pairs(train_docs), TR.docs_to_pairs(test_docs)
+        return ablation.corpus()
 
-    def _run(self, corpus, variant, *, staggered=False, num_global=0,
-             enc_layers=2):
-        train_pairs, test_pairs = corpus
-        cfg = make_config(variant, block_size=self.BLOCK, num_global=num_global,
-                          staggered=staggered, scheme=Scheme.NONE,
-                          vocab_size=self.VOCAB, d_model=32, num_heads=2,
-                          d_ff=64, enc_layers=enc_layers, dec_layers=1,
-                          cross_attn_layers=(0,), max_input_len=self.L,
-                          max_output_len=8, dropout_p=0.0)
-        params = init_params(cfg, 0)
+    def _best(self, corpus, arm):
         best = 0.0
-        for chunk in range(self.STEPS // self.EVAL_EVERY):
-            TR.train(cfg, params, train_pairs, steps=self.EVAL_EVERY,
-                     batch_size=4, seed=chunk, lr=3e-3,
-                     warmup=100 if chunk == 0 else 1, log_every=0)
-            best = max(best, TR.exact_match(cfg, params, test_pairs))
+        for _, _, em in ablation.train_arm(arm, *corpus):
+            best = max(best, em)
             if best >= self.TARGET_EM:
                 break
         return best
 
     def test_staggering_or_global_channel_solves_retrieval(self, corpus):
         t0 = time.time()
-        chance = 1.0 / (self.DECOYS + 1)
+        chance = 1.0 / (ablation.DECOYS + 1)
 
-        em_nonstag = self._run(corpus, Variant.BLOCK_LOCAL, staggered=False)
+        em_nonstag = self._best(corpus, "block_local")
         assert em_nonstag <= chance + 0.10, em_nonstag
 
-        em_stag = self._run(corpus, Variant.BLOCK_LOCAL, staggered=True)
+        em_stag = self._best(corpus, "block_local_staggered")
         assert em_stag >= self.TARGET_EM, em_stag
 
-        em_glob = self._run(corpus, Variant.GLOBAL_LOCAL, num_global=8,
-                            enc_layers=3)
+        em_glob = self._best(corpus, "global_local")
         assert em_glob >= self.TARGET_EM, em_glob
 
         assert time.time() - t0 < 1800

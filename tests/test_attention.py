@@ -427,6 +427,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AttentionSpec(variant=Variant.GLOBAL_LOCAL, num_global=0)
 
+    def test_num_global_without_global_local_rejected(self):
+        for variant in (Variant.FULL, Variant.BLOCK_LOCAL):
+            with pytest.raises(ValueError, match="num_global"):
+                AttentionSpec(variant=variant, num_global=8)
+
     def test_staggered_full_rejected(self):
         with pytest.raises(ValueError):
             AttentionSpec(variant=Variant.FULL, staggered=True)

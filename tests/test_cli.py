@@ -429,12 +429,24 @@ class TestInputContract:
         "n-docs-negative": ["gen-data", "--set", "data.n_docs=-1"],
         "n-docs-zero": ["gen-data", "--set", "data.n_docs=0"],
         "seed-env-not-int": ["dump-mask"],
+        # num_global on a variant without global tokens
+        **{f"num-global-{variant}": ["finetune", "--data", "CORPUS", "--set", "train.steps=1",
+                                     "--set", f"model.attention.variant={variant}",
+                                     "--set", "model.attention.block_size=8",
+                                     "--set", "model.attention.num_global=8"]
+           for variant in ("full", "block_local")},
+        "seed-negative-gen-data": ["gen-data", "--seed", "-1"],
+        "seed-negative-pretrain": ["pretrain", "--seed", "-3"],
+        "seed-env-negative": ["dump-mask"],
+        "seed-offset-negative": ["gen-data", "--set", "data.seed_offset=-1"],
+        "mask-layer-negative": ["dump-mask", "--set", "mask.layer=-1"],
         "finetune-model-not-the-checkpoints": ["finetune", "--ckpt", "CKPT", "--data", "IN_VOCAB",
                                                "--config", "CKPT_MODEL_D_FF",
                                                "--set", "train.steps=1"],
     }
     # environment variables a case sets
-    ENV = {"seed-env-not-int": {"LONGATTN_SEED": "abc"}}
+    ENV = {"seed-env-not-int": {"LONGATTN_SEED": "abc"},
+           "seed-env-negative": {"LONGATTN_SEED": "-1"}}
     # what the message of some cases must name
     NAMED = {"truncated-params": ("params.bin",),
              "params-byte-flipped": ("params.bin", "sha256", "manifest.json"),
@@ -470,6 +482,12 @@ class TestInputContract:
              "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
              "needle-block-6": ("needle_block",), "needle-decoys--1": ("needle_decoys",),
              "seed-env-not-int": ("LONGATTN_SEED", "'abc'"),
+             "num-global-full": ("num_global", "global_local"),
+             "num-global-block_local": ("num_global", "global_local"),
+             "seed-negative-gen-data": ("'seed'", "-1"), "seed-negative-pretrain": ("'seed'", "-3"),
+             "seed-env-negative": ("'seed'", "-1"),
+             "seed-offset-negative": ("'data.seed_offset'",),
+             "mask-layer-negative": ("layer", "-1"),
              "finetune-model-not-the-checkpoints": ("'model.d_ff'", "checkpoint")}
 
     @pytest.mark.parametrize("case", list(CASES))

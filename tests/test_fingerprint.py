@@ -1,12 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-_path = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
-_spec = importlib.util.spec_from_file_location("fingerprint", _path)
-fp = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fp)
+from repo_module import load_module
+
+fp = load_module("scripts/fingerprint.py")
 
 BASE = {"0|loss|loss": np.array(2.0), "0|grads|w": np.array([1.0, -3.0]),
         "0|tokens|greedy": np.array([3, 4])}
