@@ -85,6 +85,11 @@ def main():
     ap.add_argument("--lr", type=float, default=LR)
     ap.add_argument("--out", default="runs/ablation")
     args = ap.parse_args()
+    if args.eval_every < 1:
+        ap.exit(2, f"error: --eval-every must be >= 1, got {args.eval_every}\n")
+    if args.steps < args.eval_every:
+        ap.exit(2, f"error: --steps must be >= --eval-every ({args.eval_every}), "
+                   f"got {args.steps}\n")
 
     train_pairs, test_pairs = corpus()
     out = Path(args.out)

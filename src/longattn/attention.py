@@ -261,6 +261,6 @@ def attention_cost(spec: AttentionSpec, L: int) -> dict[str, int]:
     """
     h, d = spec.num_heads, spec.head_dim
     layout = encoder_layout(spec, L, 1 if spec.staggered else 0)
-    g = spec.num_global if spec.variant == Variant.GLOBAL_LOCAL else 0
+    g = spec.num_global                 # 0 off global_local
     elems = layout.frame_len * (layout.block_size + g) + g * (L + g)
     return {"flops": h * elems * d, "score_mem_elems": h * elems}

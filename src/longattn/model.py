@@ -162,7 +162,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     if cfg.posenc.scheme == Scheme.LEARNED_ABSOLUTE:
         shapes["embed.pos_enc"] = (cfg.max_input_len, d)
         shapes["embed.pos_dec"] = (cfg.max_output_len, d)
-    if spec.variant == Variant.GLOBAL_LOCAL:
+    if spec.num_global > 0:
         shapes["embed.global"] = (spec.num_global, d)
     if cfg.posenc.scheme == Scheme.T5_RELATIVE:
         shapes["posenc.bias_enc"] = (cfg.num_heads, cfg.posenc.t5_num_buckets)
@@ -170,7 +170,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     for i in range(cfg.enc_layers):
         p = f"enc.{i}."
         shapes |= ln(p + "ln1")
-        if spec.variant == Variant.GLOBAL_LOCAL:
+        if spec.num_global > 0:
             shapes |= ln(p + "ln1g")
         shapes |= attn(p + "attn") | ln(p + "ln2") | ffn(p + "ffn")
     shapes |= ln("enc.final_ln")
@@ -285,7 +285,7 @@ def encoder_forward(cfg: ModelConfig, params, token_ids,
 
     x = _embed(cfg, params, token_ids, "enc", 0, L)
     glob = (T.mul(params["embed.global"], cfg.d_model ** 0.5)
-            if spec.variant == Variant.GLOBAL_LOCAL else None)
+            if spec.num_global > 0 else None)
     bias = _enc_bias(cfg, params, L)
 
     for i in range(cfg.enc_layers):

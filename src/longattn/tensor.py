@@ -9,16 +9,28 @@ ndarray or float operand in a Tensor that needs no grad. An op writes only
 into arrays it allocated, never into inputs, gradients or arrays saved for
 backward, so a backward rule may hand one array to several parents.
 Every forward op checks its output for NaN/Inf and raises on violation.
+
+Memory: `backward` frees the graph it consumed. On glibc, import raises two
+process-wide malloc thresholds, so freed buffers stay in the heap for reuse.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
 MASK_NEG = -1e9
+
+# M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1); musl's mallopt is a no-op
+_libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if hasattr(_libc, "gnu_get_libc_version") and not all(
+        [_libc.mallopt(*pv) == 1 for pv in ((-3, 32 << 20), (-1, 128 << 20))]):
+    warnings.warn("mallopt failed: freed buffers go back to the OS", RuntimeWarning)
 
 
 class ShapeError(ValueError):
@@ -377,7 +389,8 @@ def backward(loss: Tensor) -> None:
 
     Every tensor on a path to the loss that requires grad, parameters
     included, has its gradient added to .grad (callers clear .grad between
-    passes). Nothing is returned.
+    passes). Nothing is returned. The pass then frees the graph: nodes drop
+    their parents and rules, the tape its nodes; `.tape` rejects a second pass.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -390,9 +403,11 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.array(1.0)
     for node in reversed(tape.nodes):
-        if node.grad is None:
-            continue
-        node._backward(node.grad)
+        if node.grad is not None:
+            node._backward(node.grad)
+    for node in tape.nodes:
+        node._parents, node._backward = (), None
+    tape.nodes.clear()
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:

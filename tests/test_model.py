@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -352,6 +354,45 @@ class TestLoss:
                           np.random.default_rng(0), lr=1e-3)
         assert opt.t == 0
         assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
+
+
+class TestStepMemory:
+    """A step's memory is its own: backward frees the graph it consumed, so
+    with the cyclic collector off, steps do not pile up their activations."""
+
+    CFG = dict(block_size=4, num_global=2, staggered=True, enc_layers=2, dec_layers=1)
+    BATCH = [(list(range(4, 16)) * 2, [5, 9, 11, M.EOS_ID])] * 2
+
+    def test_backward_frees_the_graph(self):
+        cfg = tiny_config(Variant.GLOBAL_LOCAL, **self.CFG)
+        params = M.init_params(cfg, 0)
+        with T.Tape() as tape:
+            loss = M.seq2seq_loss(cfg, params, *self.BATCH[0])
+            assert len(tape.nodes) > 100 and loss._parents
+            T.backward(loss)
+            assert tape.nodes == [] and loss._parents == () and loss._backward is None
+            with pytest.raises(T.TapeError, match="consumed"):
+                T.backward(loss)
+        assert all(p.grad is not None for p in params.values())
+
+    def test_steps_do_not_accumulate(self):
+        cfg = tiny_config(Variant.GLOBAL_LOCAL, **self.CFG)
+        params = M.init_params(cfg, 0)
+        opt = TR.Adam(params)
+        rng = np.random.default_rng(0)
+        sizes = []
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                TR.train_step(cfg, params, self.BATCH, opt, rng, lr=1e-3)
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert sizes[4] - sizes[0] < 64 * 1024, sizes
 
 
 UNPADDED = {"full": dict(variant=Variant.FULL),

@@ -3,6 +3,9 @@ experiment: the slow retrieval gate trains and scores through it, and
 perfbench train-needle steps the same arms."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,14 @@ def test_perfbench_train_needle_steps_the_gates_arms(tmp_path):
     assert [a.cfg for a in arms] == list(ablation.ARMS.values())
     for a in arms:
         assert (a.batch, a.lr, a.warmup) == (ablation.BATCH, ablation.LR, ablation.WARMUP)
+
+
+@pytest.mark.parametrize("argv, flag", [(["--eval-every", "0"], "--eval-every"),
+                                        (["--steps", "100"], "--steps")])
+def test_bad_schedule_exits_2_with_one_line(argv, flag, tmp_path):
+    script = Path(ablation.__file__)
+    proc = subprocess.run([sys.executable, str(script), *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and flag in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -291,10 +291,11 @@ class TestConstantOperands:
         up = rng.standard_normal((2, 3))
         with T.Tape():
             out = op(t, c)
+            # the graph is freed by backward, so read it first
+            assert out._parents[0] is t and not out._parents[1].requires_grad
+            assert out._parents[1].grad is None
             T.backward(T.tsum(T.mul(out, up)))
         assert np.array_equal(out.data, np_op(x, c))
-        assert out._parents[0] is t and not out._parents[1].requires_grad
-        assert out._parents[1].grad is None
         want = up if op is T.add else up * c
         assert np.array_equal(t.grad, want)
 
