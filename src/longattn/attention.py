@@ -1,9 +1,9 @@
 """Attention variants: full, block-local (optionally staggered), global-local,
 causal decoder self-attention and dense cross-attention.
 
-One kernel, _attend, computes every softmax(q k^T / sqrt(d) + bias) v, over
-any leading axes, with an optional allow-mask and additive bias. The entry
-points only shape its inputs:
+One op, tensor.attend, computes every softmax(q k^T / sqrt(d) + bias) v,
+over any leading axes, with an optional allow-mask and additive bias, and
+records one tape node. The entry points only shape its inputs:
 
 - full_attention: [h, Lq, d] queries against [h, Lk, d] keys. Causal
   self-attention and cross-attention go through it.
@@ -107,29 +107,6 @@ def encoder_layout(spec: AttentionSpec, L: int, layer: int) -> BlockLayout:
     return make_block_layout(L, b, layer, spec.staggered)
 
 
-# ---------------------------------------------------------------------------
-# the kernel
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
-            bias: np.ndarray | Tensor | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
-    the keys `allow` marks True (broadcastable to the scores). Rows with no
-    allowed key come out zero. `bias` may carry grad."""
-    nd = q.data.ndim
-    kt = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = T.matmul(T.mul(q, 1.0 / np.sqrt(q.shape[-1])), kt)   # scale q, not the larger scores
-    if bias is not None:
-        scores = T.add(scores, bias)
-    if allow is None:
-        return T.matmul(T.softmax(scores, axis=-1), v)
-    w = T.softmax(T.add(scores, np.where(allow, 0.0, T.MASK_NEG)), axis=-1)
-    dead = ~allow.any(axis=-1, keepdims=True)
-    if dead.any():
-        # fully-masked rows come out uniform; zero them so they contribute nothing
-        w = T.mul(w, np.where(dead, 0.0, 1.0))
-    return T.matmul(w, v)
-
-
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor):
     if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
         raise ShapeError(f"expected [h, L, d] tensors, got {q.shape}, {k.shape}, {v.shape}")
@@ -148,7 +125,7 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor,
     bias: additive logit bias (e.g. relative-position bias), may carry grad.
     """
     _check_qkv(q, k, v)
-    return _attend(q, k, v, mask, bias)
+    return T.attend(q, k, v, mask, bias)
 
 
 def _blocks(x: Tensor, layout: BlockLayout, extra: Tensor | None = None) -> Tensor:
@@ -188,8 +165,8 @@ def _local(q: Tensor, k: Tensor, v: Tensor, layout: BlockLayout, bias,
     if bias is not None:
         bias = T.reshape(bias if isinstance(bias, Tensor) else Tensor(bias), (-1, 1, b, b))
         bias = T.pad_axis(bias, 3, 0, g)
-    out = _attend(_blocks(q, layout), _blocks(k, layout, glob_k),
-                  _blocks(v, layout, glob_v), allow, bias)
+    out = T.attend(_blocks(q, layout), _blocks(k, layout, glob_k),
+                   _blocks(v, layout, glob_v), allow, bias)
     return _unblock(out, layout)
 
 
@@ -218,8 +195,8 @@ def global_local_attention(tok_q: Tensor, tok_k: Tensor, tok_v: Tensor,
     if glob_q.shape[1] < 1:
         raise ValueError("global-local attention needs at least one global token")
     tok_out = _local(tok_q, tok_k, tok_v, layout, bias, glob_k, glob_v)
-    glob_out = _attend(glob_q, T.concat([tok_k, glob_k], axis=1),
-                       T.concat([tok_v, glob_v], axis=1))
+    glob_out = T.attend(glob_q, T.concat([tok_k, glob_k], axis=1),
+                        T.concat([tok_v, glob_v], axis=1))
     return tok_out, glob_out
 
 

@@ -5,10 +5,12 @@ requires_grad set; inference runs tape-free and allocates nothing extra.
 A one-input op is recorded only when its input requires grad, so its
 backward rule needs no check; a rule of several inputs skips those that do not.
 Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
-ndarray or float operand in a Tensor that needs no grad. An op writes only
-into arrays it allocated, never into inputs, gradients or arrays saved for
-backward, so a backward rule may hand one array to several parents.
-Every forward op checks its output for NaN/Inf and raises on violation.
+ndarray or float operand in a Tensor that needs no grad. `attend` is the
+one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
+backward. An op writes only into arrays it allocated, never into inputs,
+gradients or arrays saved for backward, so a backward rule may hand one
+array to several parents; it never writes into an array it has handed to a
+parent. Every forward op checks its output for NaN/Inf and raises on violation.
 
 Memory: `backward` frees the graph it consumed. On glibc, import raises two
 process-wide malloc thresholds, so freed buffers stay in the heap for reuse.
@@ -312,6 +314,51 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         np.subtract(g, gs.sum(axis=axis, keepdims=True), out=gs)
         a.accumulate_grad(np.multiply(gs, s, out=gs))
     return _record(out, (a,), backward, "softmax")
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
+           bias: np.ndarray | Tensor | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
+    the keys `allow` marks True (broadcastable to the scores). Rows with no
+    allowed key come out zero. `bias` (broadcastable to the scores) may carry
+    grad. One recorded op: backward keeps the probabilities and no other
+    score-sized array."""
+    bias = None if bias is None else _as_tensor(bias)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    qs = q.data * scale                        # scale q, not the larger scores
+    try:
+        s = qs @ np.swapaxes(k.data, -1, -2)
+        if bias is not None:
+            s += bias.data
+        if allow is not None:
+            s += np.where(allow, 0.0, MASK_NEG)
+        # the module's softmax on a grad-free tensor: one call per attention, no node
+        p = softmax(Tensor(s)).data
+        if allow is not None:
+            dead = ~allow.any(axis=-1, keepdims=True)
+            if dead.any():
+                p *= np.where(dead, 0.0, 1.0)  # a dead row comes out uniform; zero it
+        o = p @ v.data
+    except ValueError as e:
+        raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"bias {None if bias is None else bias.shape}") from e
+
+    def backward(g):
+        if v.requires_grad:
+            v.accumulate_grad(_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
+        ds = g @ np.swapaxes(v.data, -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
+        ds -= (g * o).sum(axis=-1, keepdims=True)
+        ds *= p
+        if q.requires_grad:
+            gq = ds @ k.data
+            gq *= scale
+            q.accumulate_grad(_unbroadcast(gq, q.shape))
+        if k.requires_grad:
+            k.accumulate_grad(_unbroadcast(np.swapaxes(ds, -1, -2) @ qs, k.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(ds, bias.shape))   # may be ds itself
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return _record(Tensor(o), parents, backward, "attend")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

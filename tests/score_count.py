@@ -1,9 +1,11 @@
 """Test-side score counter for the attention kernels.
 
-Every attention score entry is computed once and normalised once, so the
-entries of the arrays passed to tensor.softmax are the score entries an
-attention call computes, and that count times head_dim is its score MACs:
-the quantities attention_cost() gives in closed form.
+Every attention score entry is computed once and normalised once:
+tensor.attend calls tensor.softmax once per forward and never in backward,
+which reuses the forward's probabilities. So the entries of the arrays
+passed to tensor.softmax are the score entries an attention call computes,
+and that count times head_dim is its score MACs: the quantities
+attention_cost() gives in closed form.
 """
 
 import contextlib

@@ -391,6 +391,32 @@ class TestAttentionCost:
         assert sum(sizes) * 16 == cost["flops"]
         assert sum(sizes) == cost["score_mem_elems"]
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_backward_adds_no_score_entries(self, variant):
+        # backward reuses the forward's probabilities: it never calls T.softmax
+        h, d, L, b, g = 2, 4, 20, 8, 3
+        staggered = variant != Variant.FULL
+        glob = variant == Variant.GLOBAL_LOCAL
+        spec = AttentionSpec(variant=variant, block_size=b, num_global=g if glob else 0,
+                             staggered=staggered, num_heads=h, head_dim=d)
+        lay = make_block_layout(L, b, 1 if staggered else 0, staggered)
+        rng = np.random.default_rng(23)
+        qkv = lambda n: [Tensor(rng.standard_normal((h, n, d)), requires_grad=True)
+                         for _ in range(3)]
+        bias = Tensor(rng.standard_normal((h, L, L) if variant == Variant.FULL else (h, b, b)),
+                      requires_grad=True)
+        with softmax_entries() as sizes:
+            with T.Tape():
+                if variant == Variant.FULL:
+                    out = A.full_attention(*qkv(L), bias=bias)
+                elif variant == Variant.BLOCK_LOCAL:
+                    out = A.block_local_attention(*qkv(L), lay, bias)
+                else:
+                    out = T.concat(A.global_local_attention(*qkv(L), *qkv(g), lay, bias), axis=1)
+                T.backward(T.tsum(T.mul(out, rng.standard_normal(out.shape))))
+        assert bias.grad is not None
+        assert sum(sizes) == attention_cost(spec, L)["score_mem_elems"]
+
     @settings(max_examples=10, deadline=None)
     @given(st.data())
     def test_counter_matches_cost_random_configs(self, data):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -300,6 +301,66 @@ class TestConstantOperands:
         assert np.array_equal(t.grad, want)
 
 
+class TestAttend:
+    # (q, k, v, bias) shapes: full scores with a bias per entry; a [h, 1, b, b]
+    # bias broadcast over three blocks; one block, where the bias gradient has
+    # the scores' shape
+    SHAPES = {
+        "full": ((2, 3, 4), (2, 5, 4), (2, 5, 3), (2, 3, 5)),
+        "blocks": ((2, 3, 4, 4), (2, 3, 6, 4), (2, 3, 6, 2), (2, 1, 4, 6)),
+        "one-block": ((2, 1, 4, 4), (2, 1, 6, 4), (2, 1, 6, 2), (2, 1, 4, 6)),
+    }
+
+    @pytest.mark.parametrize("case", list(SHAPES))
+    def test_grads_match_finite_differences(self, case):
+        rng = np.random.default_rng(12)
+        arrays = [rng.standard_normal(s) for s in self.SHAPES[case]]
+        allow = rng.random(arrays[3].shape) < 0.7
+        allow[..., 1, :] = False             # a row with no allowed key
+        up = rng.standard_normal(arrays[0].shape[:-1] + arrays[2].shape[-1:])
+
+        def loss(*ts):
+            return T.tsum(T.mul(T.attend(*ts[:3], allow, ts[3]), up))
+
+        grads, _ = grad_of(loss, *arrays)
+        for i in range(4):
+            def f(t, i=i):
+                return loss(*[t if j == i else Tensor(a) for j, a in enumerate(arrays)])
+            fd = T.finite_diff_grad(f, Tensor(arrays[i]))
+            assert grads[i].shape == arrays[i].shape
+            assert np.abs(grads[i] - fd).max() < 1e-8, i
+
+    def test_fully_masked_row_is_zero_and_passes_no_gradient(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (rng.standard_normal((2, 4, 3)) for _ in range(3))
+        allow = np.ones((1, 4, 4), dtype=bool)
+        allow[0, 2] = False
+        (gq, gk, gv), _ = grad_of(lambda q, k, v: T.tsum(T.attend(q, k, v, allow)), q, k, v)
+        out = T.attend(Tensor(q), Tensor(k), Tensor(v), allow).data
+        assert not out[:, 2].any() and not gq[:, 2].any()
+        keep = [0, 1, 3]                     # the same call without the dead row
+        (_, gk2, gv2), _ = grad_of(lambda q, k, v: T.tsum(T.attend(q, k, v, allow[:, keep])),
+                                   q[:, keep], k, v)
+        assert np.abs(out[:, keep] - T.attend(Tensor(q[:, keep]), Tensor(k), Tensor(v),
+                                             allow[:, keep]).data).max() < 1e-15
+        assert np.abs(gk - gk2).max() < 1e-14 and np.abs(gv - gv2).max() < 1e-14
+
+    def test_bias_wider_than_the_scores_rejected(self):
+        q, k, v = (Tensor(np.ones((1, 3, 4))) for _ in range(3))
+        with pytest.raises(T.ShapeError, match=r"bias \(2, 3, 3\)"):
+            T.attend(q, k, v, bias=np.zeros((2, 3, 3)))
+
+    def test_full_attention_records_one_node(self):
+        from longattn import attention as A
+        rng = np.random.default_rng(14)
+        q, k, v = (Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True) for _ in range(3))
+        bias = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+        with T.Tape() as tape:
+            out = A.full_attention(q, k, v, A.causal_mask(5, 5), bias)
+            assert tape.nodes == [out]
+            assert out._parents == (q, k, v, bias)
+
+
 def _closed_over_arrays(node):
     """A tape node's output and every array its backward rule closes over."""
     found = [node.data]
@@ -316,11 +377,13 @@ def _closed_over_arrays(node):
 class _CheckedNodes(list):
     """A tape's node list that copies each node's arrays when the node is
     recorded and makes its backward rule check that it leaves its incoming
-    gradient unchanged."""
+    gradient unchanged. Inside `handing()` it also copies every array a
+    backward rule passes to accumulate_grad."""
 
     def __init__(self):
         super().__init__()
         self.kept = []
+        self.handed = []
 
     def append(self, node):
         super().append(node)
@@ -333,12 +396,25 @@ class _CheckedNodes(list):
             assert np.asarray(g).tobytes() == before.tobytes(), "gradient written in place"
         node._backward = checked
 
+    @contextlib.contextmanager
+    def handing(self):
+        real = Tensor.accumulate_grad
+
+        def accumulate(t, g):
+            self.handed.append((g, np.array(g, copy=True)))
+            real(t, g)
+        Tensor.accumulate_grad = accumulate
+        try:
+            yield
+        finally:
+            Tensor.accumulate_grad = real
+
 
 class TestInPlaceKernels:
     """The kernels that compute in place write only into buffers they allocated:
-    every input, every array saved for backward and every incoming gradient is
-    bitwise the same after the forward pass of all later ops and the backward
-    pass."""
+    every input, every array saved for backward, every incoming gradient and
+    every gradient a rule hands to a parent is bitwise the same after the
+    forward pass of all later ops and the backward pass."""
 
     @staticmethod
     def check(build, *arrays):
@@ -346,12 +422,17 @@ class TestInPlaceKernels:
         inputs = [x.data.copy() for x in xs]
         with T.Tape() as tape:
             tape.nodes = nodes = _CheckedNodes()
-            T.backward(build(*xs))
+            loss = build(*xs)
+            with nodes.handing():
+                T.backward(loss)
         assert all(x.grad is not None for x in xs)
         for x, before in zip(xs, inputs):
             assert x.data.tobytes() == before.tobytes(), "input written in place"
         for arr, before in nodes.kept:
             assert arr.tobytes() == before.tobytes(), "saved array written in place"
+        assert nodes.handed
+        for arr, before in nodes.handed:
+            assert np.asarray(arr).tobytes() == before.tobytes(), "handed gradient written in place"
 
     @staticmethod
     def weighted(out, seed=0):
@@ -390,6 +471,13 @@ class TestInPlaceKernels:
         self.check(lambda q, k, v, bias: self.weighted(
                        A.block_local_attention(q, k, v, layout, bias)),
                    *rng.standard_normal((3, 2, 10, 4)), rng.standard_normal((2, 4, 4)))
+
+    @pytest.mark.parametrize("nb", [1, 3])
+    def test_attend_blocks(self, nb):
+        # with one block the bias gradient is the score gradient itself
+        rng = np.random.default_rng(7)
+        self.check(lambda q, k, v, bias: self.weighted(T.attend(q, k, v, bias=bias)),
+                   *rng.standard_normal((3, 2, nb, 4, 4)), rng.standard_normal((2, 1, 4, 4)))
 
     def test_attend_global_local(self):
         from longattn import attention as A
