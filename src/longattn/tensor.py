@@ -7,13 +7,18 @@ backward rule needs no check; a rule of several inputs skips those that do not.
 Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
 ndarray or float operand in a Tensor that needs no grad. `attend` is the
 one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
-backward. An op writes only into arrays it allocated, never into inputs,
-gradients or arrays saved for backward, so a backward rule may hand one
-array to several parents; it never writes into an array it has handed to a
-parent. Every forward op checks its output for NaN/Inf and raises on violation.
+backward. Scores larger than ATTEND_TILE entries are walked in tiles, and
+their backward recomputes the probabilities instead of keeping them. An op
+writes only into arrays it allocated, never into inputs, gradients or arrays
+saved for backward, so a backward rule may hand one array to several parents;
+it never writes into an array it has handed to a parent. Every forward op
+checks its output for NaN/Inf and raises on violation.
 
-Memory: `backward` frees the graph it consumed. On glibc, import raises two
-process-wide malloc thresholds, so freed buffers stay in the heap for reuse.
+Memory: `backward` releases each node as soon as its rule has run, so a
+step's activations and intermediate gradients are freed during the pass; only
+leaves (the parameters) and the loss keep a .grad after it. On glibc, import
+raises two process-wide malloc thresholds, so freed buffers stay in the heap
+for reuse.
 """
 
 from __future__ import annotations
@@ -27,11 +32,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 MASK_NEG = -1e9
+ATTEND_TILE = 1 << 19      # score entries per attention tile: 4 MiB of float64
 
-# M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1); musl's mallopt is a no-op
+# M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1); musl's mallopt is a no-op.
+# backward frees as it goes, so a step ends with its whole peak free at the
+# heap's top: a trim threshold below that peak would hand it back to the OS
+# and the next step would fault it in again
 _libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
 if hasattr(_libc, "gnu_get_libc_version") and not all(
-        [_libc.mallopt(*pv) == 1 for pv in ((-3, 32 << 20), (-1, 128 << 20))]):
+        [_libc.mallopt(*pv) == 1 for pv in ((-3, 32 << 20), (-1, 1 << 30))]):
     warnings.warn("mallopt failed: freed buffers go back to the OS", RuntimeWarning)
 
 
@@ -267,7 +276,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries from `start` along `axis`; the whole axis is `a`."""
+    """Slice `length` entries from `start` along `axis`; the whole axis is `a`.
+    A slice that does not lie within the axis raises ShapeError."""
+    if start < 0 or length < 0 or start + length > a.shape[axis]:
+        raise ShapeError(f"narrow: [{start}, {start + length}) lies outside axis {axis} "
+                         f"of shape {a.shape}")
     if start == 0 and length == a.shape[axis]:
         return a
     idx = [slice(None)] * a.data.ndim
@@ -321,44 +334,144 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
     the keys `allow` marks True (broadcastable to the scores). Rows with no
     allowed key come out zero. `bias` (broadcastable to the scores) may carry
-    grad. One recorded op: backward keeps the probabilities and no other
-    score-sized array."""
+    grad. One recorded op. Scores that fit in one tile of ATTEND_TILE entries
+    are computed in one buffer, and backward keeps their probabilities and no
+    other score-sized array. Larger scores are walked in tiles, and backward
+    keeps no score-sized array (see _attend_tiled)."""
     bias = None if bias is None else _as_tensor(bias)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    qs = q.data * scale                        # scale q, not the larger scores
     try:
+        rows = q.shape[:-1] if q.shape[:-2] == k.shape[:-2] else \
+            np.broadcast_shapes(q.shape[:-1], k.shape[:-2] + (1,))
+        if math.prod(rows) * k.shape[-2] > ATTEND_TILE:
+            o, backward = _attend_tiled(parents, allow, scale, rows + k.shape[-2:-1])
+            return _record(Tensor(o), parents, backward, "attend")
+        qs = q.data * scale                        # scale q, not the larger scores
         s = qs @ np.swapaxes(k.data, -1, -2)
         if bias is not None:
             s += bias.data
         if allow is not None:
             s += np.where(allow, 0.0, MASK_NEG)
-        # the module's softmax on a grad-free tensor: one call per attention, no node
+        # the module's softmax on a grad-free tensor: one call per tile, no node
         p = softmax(Tensor(s)).data
         if allow is not None:
             dead = ~allow.any(axis=-1, keepdims=True)
             if dead.any():
                 p *= np.where(dead, 0.0, 1.0)  # a dead row comes out uniform; zero it
         o = p @ v.data
-    except ValueError as e:
+    except (ValueError, IndexError) as e:
         raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
                          f"bias {None if bias is None else bias.shape}") from e
 
     def backward(g):
-        if v.requires_grad:
-            v.accumulate_grad(_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
-        ds = g @ np.swapaxes(v.data, -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
-        ds -= (g * o).sum(axis=-1, keepdims=True)
-        ds *= p
-        if q.requires_grad:
-            gq = ds @ k.data
-            gq *= scale
-            q.accumulate_grad(_unbroadcast(gq, q.shape))
-        if k.requires_grad:
-            k.accumulate_grad(_unbroadcast(np.swapaxes(ds, -1, -2) @ qs, k.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(ds, bias.shape))   # may be ds itself
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
+        grads = _attend_grads(g, p, o, qs, k.data, v.data, scale, parents)
+        for t, gt in zip(parents, grads):
+            if t.requires_grad:
+                t.accumulate_grad(_unbroadcast(gt, t.shape))   # the bias's may be ds itself
     return _record(Tensor(o), parents, backward, "attend")
+
+
+def _attend_grads(g, p, o, qs, k, v, scale, parents):
+    """One tile's gradients of q, k, v and the scores (the bias gradient),
+    None for a q, k or v of `parents` that needs none, given the upstream
+    gradient g, the probabilities p, the output o, the scaled queries qs and
+    the keys and values k and v."""
+    dv = np.swapaxes(p, -1, -2) @ g if parents[2].requires_grad else None
+    ds = g @ np.swapaxes(v, -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
+    ds -= (g * o).sum(axis=-1, keepdims=True)
+    ds *= p
+    dq = None
+    if parents[0].requires_grad:
+        dq = ds @ k
+        dq *= scale                   # scale dq, never ds, which may become the bias's
+    dk = np.swapaxes(ds, -1, -2) @ qs if parents[1].requires_grad else None
+    return dq, dk, dv, ds
+
+
+def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
+    """(axis, step): the outermost score axis, bar the key axis, cut into the
+    fewest equal runs of `step` entries that span at most ATTEND_TILE scores
+    each. Single rows when no axis fits: a tile then holds one row of every
+    leading index."""
+    n = math.prod(scores)
+    for axis in range(-len(scores), -1):
+        if scores[axis] > 1 and n // scores[axis] <= ATTEND_TILE:
+            count = -(-scores[axis] // (ATTEND_TILE // (n // scores[axis])))
+            return axis, -(-scores[axis] // count)
+    return -2, 1
+
+
+def _attend_tiled(parents: tuple[Tensor, ...], allow: np.ndarray | None, scale: float,
+                  scores: tuple[int, ...]):
+    """attend's output and backward rule, over q, k, v and an optional bias
+    (`parents`), for scores of shape `scores` walked in tiles along one axis
+    (Rabe & Staats 2021, arXiv 2112.05682). Forward calls the grad-free
+    softmax once per tile and keeps each row's log-sum-exp; backward
+    recomputes each tile's p = exp(s - lse) and adds the tile's share to
+    every gradient, so no buffer outlives its tile (only a bias gradient is
+    as large as the bias)."""
+    q, k, v = parents[:3]
+    bias = parents[3] if len(parents) > 3 else None
+    axis, step = _tile_axis(scores)
+    tiles = [slice(i, i + step) for i in range(0, scores[axis], step)]
+
+    def cut(x: np.ndarray, sl: slice, keys: bool = False) -> tuple:
+        """Index of the tile `sl` in x, which is right-aligned with the scores
+        (k and v with their leading axes); () where x is broadcast there."""
+        if x is None or (keys and axis == -2) or x.ndim < -axis or x.shape[axis] == 1:
+            return ()
+        return (slice(None),) * (x.ndim + axis) + (sl,)
+
+    def tile(sl: slice):
+        """One tile's cuts (q, k, v, bias, rows), scaled queries, scores and
+        allow-mask, None where the tile masks no key."""
+        iq, ik, iv = cut(q.data, sl), cut(k.data, sl, True), cut(v.data, sl, True)
+        ib = cut(None if bias is None else bias.data, sl)
+        irow = (slice(None),) * (len(scores) + axis) + (sl,)   # of the output and lse
+        qs = q.data[iq] * scale
+        s = qs @ np.swapaxes(k.data[ik], -1, -2)
+        if bias is not None:
+            s += bias.data[ib]
+        mask = None if allow is None else allow[cut(allow, sl)]
+        if mask is not None and mask.all():
+            mask = None
+        if mask is not None:
+            s += np.where(mask, 0.0, MASK_NEG)
+        return (iq, ik, iv, ib, irow), qs, s, mask
+
+    o = np.empty(scores[:-1] + v.shape[-1:])
+    lse = np.empty(scores[:-1] + (1,))
+    for sl in tiles:
+        (_, _, iv, _, irow), _, s, mask = tile(sl)
+        # the module's softmax on a grad-free tensor: one call per tile, no node
+        p = softmax(Tensor(s)).data
+        row = s.max(axis=-1, keepdims=True)
+        row -= np.log(p.max(axis=-1, keepdims=True))   # a row's largest p is 1 / its sum
+        if mask is not None:
+            dead = ~mask.any(axis=-1, keepdims=True)
+            if dead.any():
+                p *= np.where(dead, 0.0, 1.0)         # a dead row comes out uniform; zero it
+                row = np.where(dead, np.inf, row)     # and recomputes as exp(-inf) = 0
+        lse[irow] = row
+        o[irow] = p @ v.data[iv]
+
+    def backward(g):
+        sums = [np.zeros(t.shape) if t.requires_grad else None for t in parents]
+        for sl in tiles:
+            cuts, qs, s, _ = tile(sl)
+            rows = cuts[-1]
+            s -= lse[rows]
+            p = np.exp(s, out=s)
+            grads = _attend_grads(g[rows], p, o[rows], qs, k.data[cuts[1]], v.data[cuts[2]],
+                                  scale, parents)
+            for total, at, gt in zip(sums, cuts, grads):
+                if total is not None:
+                    total[at] += _unbroadcast(gt, total[at].shape)
+        for t, total in zip(parents, sums):
+            if total is not None:
+                t.accumulate_grad(total)
+    return o, backward
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -434,10 +547,13 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss; a tape runs it once.
 
-    Every tensor on a path to the loss that requires grad, parameters
-    included, has its gradient added to .grad (callers clear .grad between
-    passes). Nothing is returned. The pass then frees the graph: nodes drop
-    their parents and rules, the tape its nodes; `.tape` rejects a second pass.
+    Every leaf on a path to the loss that requires grad (the parameters) has
+    its gradient added to .grad; callers clear .grad between passes. Nothing
+    is returned. Each node is released as soon as its rule has run: it leaves
+    the tape and drops its parents, its rule and, unless it is the loss, its
+    .grad. So activations, saved arrays and intermediate gradients are freed
+    during the pass, and no intermediate .grad is kept after it. `.tape`
+    rejects a second pass.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -449,12 +565,14 @@ def backward(loss: Tensor) -> None:
     tape.consumed = True
 
     loss.grad = np.array(1.0)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         if node.grad is not None:
             node._backward(node.grad)
-    for node in tape.nodes:
         node._parents, node._backward = (), None
-    tape.nodes.clear()
+        if node is not loss:
+            node.grad = None
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:

@@ -48,6 +48,8 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
     """One gradient step at learning rate `lr` on a batch of (input_ids,
     target_ids) pairs; gradients are averaged over the batch and clipped to a
     global L2 norm of `clip`."""
+    if not batch:
+        raise ValueError("train_step needs a non-empty batch")
     opt.lr = lr
     total = 0.0
     grads: dict[str, np.ndarray] = {}

@@ -1,8 +1,9 @@
 """Test-side score counter for the attention kernels.
 
-Every attention score entry is computed once and normalised once:
-tensor.attend calls tensor.softmax once per forward and never in backward,
-which reuses the forward's probabilities. So the entries of the arrays
+Every attention score entry is normalised by tensor.softmax once:
+tensor.attend calls it once per tile of its scores in forward (once per
+call when the scores fit in one tile) and never in backward, which reuses
+or recomputes the probabilities without it. So the entries of the arrays
 passed to tensor.softmax are the score entries an attention call computes,
 and that count times head_dim is its score MACs: the quantities
 attention_cost() gives in closed form.

@@ -393,7 +393,7 @@ class TestAttentionCost:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_backward_adds_no_score_entries(self, variant):
-        # backward reuses the forward's probabilities: it never calls T.softmax
+        # backward reuses or recomputes the probabilities: it never calls T.softmax
         h, d, L, b, g = 2, 4, 20, 8, 3
         staggered = variant != Variant.FULL
         glob = variant == Variant.GLOBAL_LOCAL

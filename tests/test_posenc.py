@@ -75,6 +75,8 @@ class TestLearnedAbsolute:
         assert np.array_equal(P.learned_absolute(tab, 2, start=5).data, tab.data[5:7])
         with pytest.raises(ValueError):
             P.learned_absolute(tab, 2, start=7)
+        with pytest.raises(T.ShapeError):   # was an empty (0, 4) slice
+            P.learned_absolute(tab, 2, start=-1)
 
     def test_lookup_prefix(self):
         tab = Tensor(np.arange(12.0).reshape(6, 2))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from longattn import tensor as T
 from longattn.tensor import Tensor
+from score_count import softmax_entries
 
 
 def grad_of(build, *xs):
@@ -281,6 +282,19 @@ class TestBackward:
         assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
+class TestNarrow:
+    def test_slice_and_gradient(self):
+        (g,), xs = grad_of(lambda x: T.tsum(T.narrow(x, 0, 2, 3)), np.arange(6.0))
+        assert np.array_equal(T.narrow(xs[0], 0, 2, 3).data, [2.0, 3.0, 4.0])
+        assert np.array_equal(g, [0, 0, 1, 1, 1, 0])
+
+    @pytest.mark.parametrize("start,length", [(4, 3), (-2, 2), (0, 7), (1, -1)])
+    def test_slice_outside_the_axis_rejected(self, start, length):
+        # (4, 3) truncated to two entries and (-2, 2) came out empty
+        with pytest.raises(T.ShapeError, match="outside axis 0"):
+            T.narrow(Tensor(np.arange(6.0)), 0, start, length)
+
+
 class TestConstantOperands:
     @pytest.mark.parametrize("op,np_op", [(T.add, np.add), (T.mul, np.multiply)])
     @pytest.mark.parametrize("kind", ["ndarray", "float"])
@@ -359,6 +373,95 @@ class TestAttend:
             out = A.full_attention(q, k, v, A.causal_mask(5, 5), bias)
             assert tape.nodes == [out]
             assert out._parents == (q, k, v, bias)
+
+    # a tile constant per case that cuts its scores into several tiles:
+    # along the rows, along the blocks, and along the rows of one block
+    TILES = {"full": 10, "blocks": 48, "one-block": 12}
+
+    @staticmethod
+    def attend_grads(arrays, allow, up):
+        """attend's output and the gradients of q, k, v and bias under a loss
+        with upstream gradient `up`, and the arrays its tape node closes over."""
+        xs = [Tensor(a, requires_grad=True) for a in arrays]
+        with T.Tape() as tape:
+            out = T.attend(*xs[:3], allow, xs[3])
+            node = tape.nodes[0]
+            closed = _closed_over_arrays(node)
+            T.backward(T.tsum(T.mul(out, up)))
+        return [out.data] + [x.grad for x in xs], closed
+
+    def tiled_against_one_tile(self, monkeypatch, arrays, allow, tile):
+        up = np.random.default_rng(15).standard_normal(arrays[0].shape[:-1] + arrays[2].shape[-1:])
+        one, _ = self.attend_grads(arrays, allow, up)
+        monkeypatch.setattr(T, "ATTEND_TILE", tile)
+        with softmax_entries() as sizes:
+            tiled, closed = self.attend_grads(arrays, allow, up)
+        assert len(sizes) > 1 and max(sizes) <= tile
+        for a, b in zip(one, tiled):
+            assert a.shape == b.shape and np.abs(a - b).max() < 1e-12
+        return closed
+
+    @pytest.mark.parametrize("case", list(SHAPES))
+    def test_tiles_match_one_tile(self, case, monkeypatch):
+        rng = np.random.default_rng(16)
+        arrays = [rng.standard_normal(s) for s in self.SHAPES[case]]
+        allow = rng.random(arrays[3].shape) < 0.7
+        allow[..., 1, :] = False             # a row with no allowed key
+        closed = self.tiled_against_one_tile(monkeypatch, arrays, allow, self.TILES[case])
+        # no score-sized array survives the forward: besides the inputs, the
+        # mask and the output, the node keeps less than one tile's entries
+        given = arrays + [allow, closed[0]]
+        kept = [a for a in closed if not any(a is b for b in given)]
+        assert sum(a.size for a in kept) <= self.TILES[case], [a.shape for a in kept]
+
+    def test_tiles_match_one_tile_dead_rows_on_a_boundary(self, monkeypatch):
+        # [2, 6, 5] scores in tiles of two rows: rows 1 and 2 close and open a tile
+        rng = np.random.default_rng(17)
+        arrays = [rng.standard_normal(s) for s in ((2, 6, 4), (2, 5, 4), (2, 5, 3), (2, 6, 5))]
+        allow = rng.random((2, 6, 5)) < 0.7
+        allow[:, 1:3] = False
+        self.tiled_against_one_tile(monkeypatch, arrays, allow, 20)
+
+    def test_tiles_match_one_tile_bias_broadcast_over_queries(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        arrays = [rng.standard_normal(s) for s in ((2, 6, 4), (2, 5, 4), (2, 5, 3), (2, 1, 5))]
+        self.tiled_against_one_tile(monkeypatch, arrays, None, 20)
+
+    @pytest.mark.parametrize("variant", ["full", "block_local", "global_local"])
+    def test_tiled_kernels_match_and_count_every_score_once(self, variant, monkeypatch):
+        # each tile's scores pass through softmax once in forward, none in
+        # backward; staggered pads mask keys in some tiles and none in others
+        from longattn import attention as A
+        h, d, L, b, g = 2, 4, 20, 8, 3
+        spec = A.AttentionSpec(variant=A.Variant(variant), block_size=b,
+                               num_global=g if variant == "global_local" else 0,
+                               staggered=variant != "full", num_heads=h, head_dim=d)
+        lay = A.encoder_layout(spec, L, 1)
+
+        def run():
+            rng = np.random.default_rng(19)
+            xs = [Tensor(rng.standard_normal((h, n, d)), requires_grad=True)
+                  for n in (L, L, L) + ((g, g, g) if variant == "global_local" else ())]
+            xs.append(Tensor(rng.standard_normal((h, lay.block_size, lay.block_size)),
+                             requires_grad=True))
+            with softmax_entries() as sizes:
+                with T.Tape():
+                    if variant == "global_local":
+                        out = T.concat(A.global_local_attention(*xs[:6], lay, xs[6]), axis=1)
+                    else:
+                        out = A.block_local_attention(*xs[:3], lay, xs[3])
+                    calls = len(sizes)
+                    T.backward(T.tsum(T.mul(out, rng.standard_normal(out.shape))))
+            assert calls == len(sizes)
+            assert sum(sizes) == A.attention_cost(spec, L)["score_mem_elems"]
+            return [out.data] + [x.grad for x in xs], calls
+
+        one, one_calls = run()
+        monkeypatch.setattr(T, "ATTEND_TILE", 64)
+        tiled, calls = run()
+        assert calls > one_calls
+        for a, b in zip(one, tiled):
+            assert np.abs(a - b).max() < 1e-12
 
 
 def _closed_over_arrays(node):
@@ -489,6 +592,14 @@ class TestInPlaceKernels:
             return T.add(self.weighted(tok), self.weighted(glob, seed=1))
         self.check(build, *rng.standard_normal((3, 2, 10, 4)),
                    *rng.standard_normal((3, 2, 3, 4)), rng.standard_normal((2, 4, 4)))
+
+
+class TestInPlaceKernelsTiled(TestInPlaceKernels):
+    """The same checks with every attention call's scores walked in tiles."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(T, "ATTEND_TILE", 16)
 
 
 class TestFiniteDiff:
