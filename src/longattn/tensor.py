@@ -11,14 +11,20 @@ backward. Scores larger than ATTEND_TILE entries are walked in tiles, and
 their backward recomputes the probabilities instead of keeping them. An op
 writes only into arrays it allocated, never into inputs, gradients or arrays
 saved for backward, so a backward rule may hand one array to several parents;
-it never writes into an array it has handed to a parent. Every forward op
-checks its output for NaN/Inf and raises on violation.
+it never writes into an array it has handed to a parent. Every op that
+computes checks its output for NaN/Inf and raises on violation. The movement
+ops (reshape, transpose, concat, narrow, pad_axis) only copy or view values,
+so they leave the check to the next op that computes.
 
 Memory: `backward` releases each node as soon as its rule has run, so a
 step's activations and intermediate gradients are freed during the pass; only
 leaves (the parameters) and the loss keep a .grad after it. On glibc, import
 raises two process-wide malloc thresholds, so freed buffers stay in the heap
-for reuse.
+for reuse. Backward rebuilds what is cheap to rebuild from arrays the tape
+already holds rather than keep a copy: layer_norm keeps each row's mean and
+inverse std and rebuilds x̂ from its input, gelu rebuilds its tanh from its
+input, and attend rebuilds the scaled queries from q. Because no op writes
+into its inputs, the rebuilt arrays equal forward's bit for bit.
 """
 
 from __future__ import annotations
@@ -103,9 +109,15 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
 
+# ops that only copy or view their inputs' values: they leave the finiteness
+# check to the next op that computes
+_MOVES = frozenset({"reshape", "transpose", "concat", "narrow", "pad"})
+
+
 def _record(out: Tensor, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None], op: str) -> Tensor:
-    _check_finite(out.data, op)
+    if op not in _MOVES:
+        _check_finite(out.data, op)
     tape = Tape._active
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -170,19 +182,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) (x + 0.044715 x^3)) in a new array. gelu's forward and
+    backward both call it, so backward rebuilds forward's tanh bit for bit."""
     t = np.multiply(x, x, out=np.empty_like(x))   # an array for 0-d x too; x ** 3 calls pow
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
+    return np.tanh(t, out=t)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximation GELU. Backward rebuilds the tanh from the input
+    rather than keep it."""
+    x = a.data
+    out = _gelu_tanh(x)
+    out += 1.0
     out *= 0.5 * x
 
     def backward(g):
+        t = _gelu_tanh(x)
         d = np.multiply(x, x, out=np.empty_like(x))   # 0.5 (1 + t + (1 - t^2) x inner')
         d *= 3 * 0.044715 * _GELU_C
         d += _GELU_C
@@ -347,8 +367,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
         if math.prod(rows) * k.shape[-2] > ATTEND_TILE:
             o, backward = _attend_tiled(parents, allow, scale, rows + k.shape[-2:-1])
             return _record(Tensor(o), parents, backward, "attend")
-        qs = q.data * scale                        # scale q, not the larger scores
-        s = qs @ np.swapaxes(k.data, -1, -2)
+        s = (q.data * scale) @ np.swapaxes(k.data, -1, -2)   # scale q, not the larger scores
         if bias is not None:
             s += bias.data
         if allow is not None:
@@ -365,7 +384,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
                          f"bias {None if bias is None else bias.shape}") from e
 
     def backward(g):
-        grads = _attend_grads(g, p, o, qs, k.data, v.data, scale, parents)
+        grads = _attend_grads(g, p, o, q.data * scale, k.data, v.data, scale, parents)
         for t, gt in zip(parents, grads):
             if t.requires_grad:
                 t.accumulate_grad(_unbroadcast(gt, t.shape))   # the bias's may be ds itself
@@ -481,14 +500,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs last extent {d}")
     mu = a.data.mean(axis=-1, keepdims=True)
-    xhat = a.data - mu                   # centred here, normalised in place below
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    out = a.data - mu                    # centred here, normalised in place below
+    var = (out ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out = xhat * gain.data
+    out *= inv
+    out *= gain.data
     out += bias.data
 
     def backward(g):
+        xhat = a.data - mu               # forward's x̂, rebuilt bit for bit
+        xhat *= inv
         if gain.requires_grad:
             gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:

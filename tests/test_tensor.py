@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ class TestElementwise:
     def test_nan_rejected(self):
         with pytest.raises(FloatingPointError):
             T.mul(Tensor([1e308]), 1e308)
+
+    def test_movement_op_leaves_the_check_to_the_next_op_that_computes(self):
+        w = np.ones((2, 3))
+        w[1, 2] = np.nan
+        w = Tensor(w, requires_grad=True)
+        with T.Tape():
+            wt = T.transpose(w, (1, 0))      # a view of w: not scanned
+            with pytest.raises(FloatingPointError, match="'matmul'"):
+                T.matmul(Tensor(np.ones((1, 3))), wt)
 
 
 class TestEmbedding:
@@ -511,6 +521,41 @@ class _CheckedNodes(list):
             yield
         finally:
             Tensor.accumulate_grad = real
+
+
+class TestSavedForBackward:
+    """Under a tape, layer_norm, gelu and one-tile attend keep no array beyond
+    their output (and attend's probabilities) that is anywhere near the size
+    of an input: backward rebuilds x̂, the tanh and the scaled queries."""
+
+    @staticmethod
+    def kept(op, *arrays):
+        """Bytes the recorded call still holds once it returns, beyond its output."""
+        xs = [Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            with T.Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                out = op(*xs)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        return held - out.data.nbytes
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(1)
+        x, (gain, bias) = rng.standard_normal((64, 256)), rng.standard_normal((2, 256))
+        assert self.kept(T.layer_norm, x, gain, bias) < x.nbytes / 4
+
+    def test_gelu(self):
+        x = np.random.default_rng(2).standard_normal((64, 256))
+        assert self.kept(T.gelu, x) < x.nbytes / 4
+
+    def test_attend_one_tile(self):
+        q, k, v = np.random.default_rng(3).standard_normal((3, 2, 128, 64))
+        p_bytes = 2 * 128 * 128 * 8          # one tile's probabilities, which attend keeps
+        assert self.kept(T.attend, q, k, v) - p_bytes < q.nbytes / 4
 
 
 class TestInPlaceKernels:
