@@ -7,14 +7,14 @@ backward rule needs no check; a rule of several inputs skips those that do not.
 Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
 ndarray or float operand in a Tensor that needs no grad. `attend` is the
 one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
-backward. Scores larger than ATTEND_TILE entries are walked in tiles, and
-their backward recomputes the probabilities instead of keeping them. An op
-writes only into arrays it allocated, never into inputs, gradients or arrays
-saved for backward, so a backward rule may hand one array to several parents;
-it never writes into an array it has handed to a parent. Every op that
-computes checks its output for NaN/Inf and raises on violation. The movement
-ops (reshape, transpose, concat, narrow, pad_axis) only copy or view values,
-so they leave the check to the next op that computes.
+backward. It runs one loop over tiles of at most ATTEND_TILE scores: a call
+that fits one tile keeps its probabilities, a larger one recomputes them in
+backward. An op writes only into arrays it allocated, never into inputs,
+gradients or arrays saved for backward, so a backward rule may hand one array
+to several parents; it never writes into an array it has handed to a parent.
+Every op that computes checks its output for NaN/Inf and raises on violation.
+The movement ops (reshape, transpose, concat, narrow, pad_axis) only copy or
+view values, so they leave the check to the next op that computes.
 
 Memory: `backward` releases each node as soon as its rule has run, so a
 step's activations and intermediate gradients are freed during the pass; only
@@ -349,65 +349,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), backward, "softmax")
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
-           bias: np.ndarray | Tensor | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
-    the keys `allow` marks True (broadcastable to the scores). Rows with no
-    allowed key come out zero. `bias` (broadcastable to the scores) may carry
-    grad. One recorded op. Scores that fit in one tile of ATTEND_TILE entries
-    are computed in one buffer, and backward keeps their probabilities and no
-    other score-sized array. Larger scores are walked in tiles, and backward
-    keeps no score-sized array (see _attend_tiled)."""
-    bias = None if bias is None else _as_tensor(bias)
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    try:
-        rows = q.shape[:-1] if q.shape[:-2] == k.shape[:-2] else \
-            np.broadcast_shapes(q.shape[:-1], k.shape[:-2] + (1,))
-        if math.prod(rows) * k.shape[-2] > ATTEND_TILE:
-            o, backward = _attend_tiled(parents, allow, scale, rows + k.shape[-2:-1])
-            return _record(Tensor(o), parents, backward, "attend")
-        s = (q.data * scale) @ np.swapaxes(k.data, -1, -2)   # scale q, not the larger scores
-        if bias is not None:
-            s += bias.data
-        if allow is not None:
-            s += np.where(allow, 0.0, MASK_NEG)
-        # the module's softmax on a grad-free tensor: one call per tile, no node
-        p = softmax(Tensor(s)).data
-        if allow is not None:
-            dead = ~allow.any(axis=-1, keepdims=True)
-            if dead.any():
-                p *= np.where(dead, 0.0, 1.0)  # a dead row comes out uniform; zero it
-        o = p @ v.data
-    except (ValueError, IndexError) as e:
-        raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
-                         f"bias {None if bias is None else bias.shape}") from e
-
-    def backward(g):
-        grads = _attend_grads(g, p, o, q.data * scale, k.data, v.data, scale, parents)
-        for t, gt in zip(parents, grads):
-            if t.requires_grad:
-                t.accumulate_grad(_unbroadcast(gt, t.shape))   # the bias's may be ds itself
-    return _record(Tensor(o), parents, backward, "attend")
-
-
-def _attend_grads(g, p, o, qs, k, v, scale, parents):
-    """One tile's gradients of q, k, v and the scores (the bias gradient),
-    None for a q, k or v of `parents` that needs none, given the upstream
-    gradient g, the probabilities p, the output o, the scaled queries qs and
-    the keys and values k and v."""
-    dv = np.swapaxes(p, -1, -2) @ g if parents[2].requires_grad else None
-    ds = g @ np.swapaxes(v, -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
-    ds -= (g * o).sum(axis=-1, keepdims=True)
-    ds *= p
-    dq = None
-    if parents[0].requires_grad:
-        dq = ds @ k
-        dq *= scale                   # scale dq, never ds, which may become the bias's
-    dk = np.swapaxes(ds, -1, -2) @ qs if parents[1].requires_grad else None
-    return dq, dk, dv, ds
-
-
 def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
     """(axis, step): the outermost score axis, bar the key axis, cut into the
     fewest equal runs of `step` entries that span at most ATTEND_TILE scores
@@ -421,19 +362,22 @@ def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
     return -2, 1
 
 
-def _attend_tiled(parents: tuple[Tensor, ...], allow: np.ndarray | None, scale: float,
-                  scores: tuple[int, ...]):
-    """attend's output and backward rule, over q, k, v and an optional bias
-    (`parents`), for scores of shape `scores` walked in tiles along one axis
-    (Rabe & Staats 2021, arXiv 2112.05682). Forward calls the grad-free
-    softmax once per tile and keeps each row's log-sum-exp; backward
-    recomputes each tile's p = exp(s - lse) and adds the tile's share to
-    every gradient, so no buffer outlives its tile (only a bias gradient is
+def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
+           bias: np.ndarray | Tensor | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v over any leading axes, restricted to
+    the keys `allow` marks True (broadcastable to the scores). Rows with no
+    allowed key come out zero. `bias` (broadcastable to the scores) may carry
+    grad. One recorded op and one loop over tiles of at most ATTEND_TILE
+    scores, cut along one axis (Rabe & Staats 2021, arXiv 2112.05682): forward
+    calls the grad-free softmax once per tile. Scores that fit one tile are a
+    loop of one, whose node keeps their probabilities and no other
+    score-sized array. Larger scores keep each row's log-sum-exp instead:
+    backward recomputes each tile's p = exp(s - lse) and adds the tile's share
+    to every gradient, so no buffer outlives its tile (only a bias gradient is
     as large as the bias)."""
-    q, k, v = parents[:3]
-    bias = parents[3] if len(parents) > 3 else None
-    axis, step = _tile_axis(scores)
-    tiles = [slice(i, i + step) for i in range(0, scores[axis], step)]
+    bias = None if bias is None else _as_tensor(bias)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    scale = 1.0 / np.sqrt(q.shape[-1])
 
     def cut(x: np.ndarray, sl: slice, keys: bool = False) -> tuple:
         """Index of the tile `sl` in x, which is right-aligned with the scores
@@ -442,55 +386,80 @@ def _attend_tiled(parents: tuple[Tensor, ...], allow: np.ndarray | None, scale: 
             return ()
         return (slice(None),) * (x.ndim + axis) + (sl,)
 
-    def tile(sl: slice):
-        """One tile's cuts (q, k, v, bias, rows), scaled queries, scores and
-        allow-mask, None where the tile masks no key."""
-        iq, ik, iv = cut(q.data, sl), cut(k.data, sl, True), cut(v.data, sl, True)
-        ib = cut(None if bias is None else bias.data, sl)
-        irow = (slice(None),) * (len(scores) + axis) + (sl,)   # of the output and lse
-        qs = q.data[iq] * scale
-        s = qs @ np.swapaxes(k.data[ik], -1, -2)
+    def tile(sl: slice) -> tuple:
+        """The tile `sl`'s index in q, k, v, the bias, allow and the output rows."""
+        return (cut(q.data, sl), cut(k.data, sl, True), cut(v.data, sl, True),
+                cut(None if bias is None else bias.data, sl), cut(allow, sl),
+                (slice(None),) * (len(scores) + axis) + (sl,))
+
+    def tile_scores(at: tuple):
+        """A tile's scores and allow-mask, None where the tile masks no key.
+        It scales q, not the larger scores, and q·scale dies with the matmul."""
+        s = (q.data[at[0]] * scale) @ np.swapaxes(k.data[at[1]], -1, -2)
         if bias is not None:
-            s += bias.data[ib]
-        mask = None if allow is None else allow[cut(allow, sl)]
-        if mask is not None and mask.all():
-            mask = None
+            s += bias.data[at[3]]
+        mask = None if allow is None or allow[at[4]].all() else allow[at[4]]
         if mask is not None:
             s += np.where(mask, 0.0, MASK_NEG)
-        return (iq, ik, iv, ib, irow), qs, s, mask
+        return s, mask
 
-    o = np.empty(scores[:-1] + v.shape[-1:])
-    lse = np.empty(scores[:-1] + (1,))
-    for sl in tiles:
-        (_, _, iv, _, irow), _, s, mask = tile(sl)
-        # the module's softmax on a grad-free tensor: one call per tile, no node
-        p = softmax(Tensor(s)).data
-        row = s.max(axis=-1, keepdims=True)
-        row -= np.log(p.max(axis=-1, keepdims=True))   # a row's largest p is 1 / its sum
-        if mask is not None:
-            dead = ~mask.any(axis=-1, keepdims=True)
-            if dead.any():
-                p *= np.where(dead, 0.0, 1.0)         # a dead row comes out uniform; zero it
-                row = np.where(dead, np.inf, row)     # and recomputes as exp(-inf) = 0
-        lse[irow] = row
-        o[irow] = p @ v.data[iv]
+    try:
+        rows = q.shape[:-1] if q.shape[:-2] == k.shape[:-2] else \
+            np.broadcast_shapes(q.shape[:-1], k.shape[:-2] + (1,))
+        scores = rows + k.shape[-2:-1]
+        one = math.prod(scores) <= ATTEND_TILE   # so too no scores, which _tile_axis cannot cut
+        axis, step = (-2, 0) if one else _tile_axis(scores)
+        tiles = [slice(None)] if one else [slice(i, i + step) for i in range(0, scores[axis], step)]
+        kept = None                              # a loop of one's probabilities
+        o, lse = (None, None) if one else (np.empty(rows + v.shape[-1:]), np.empty(rows + (1,)))
+        for sl in tiles:
+            at = tile(sl)
+            s, mask = tile_scores(at)
+            # the module's softmax on a grad-free tensor: one call per tile, no node
+            p = softmax(Tensor(s)).data
+            dead = None if mask is None else ~mask.any(axis=-1, keepdims=True)
+            if dead is not None and dead.any():
+                p *= np.where(dead, 0.0, 1.0)    # a dead row comes out uniform; zero it
+            if one:
+                o, kept = p @ v.data[at[2]], p
+                continue
+            # a row's largest p is 1 / its sum; a dead row's lse is inf, so it recomputes as 0
+            with np.errstate(divide="ignore"):
+                lse[at[5]] = s.max(axis=-1, keepdims=True) - np.log(p.max(axis=-1, keepdims=True))
+            o[at[5]] = p @ v.data[at[2]]
+    except (ValueError, IndexError) as e:
+        raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"bias {None if bias is None else bias.shape}") from e
 
     def backward(g):
-        sums = [np.zeros(t.shape) if t.requires_grad else None for t in parents]
+        sums = None if one else [np.zeros(t.shape) if t.requires_grad else None for t in parents]
         for sl in tiles:
-            cuts, qs, s, _ = tile(sl)
-            rows = cuts[-1]
-            s -= lse[rows]
-            p = np.exp(s, out=s)
-            grads = _attend_grads(g[rows], p, o[rows], qs, k.data[cuts[1]], v.data[cuts[2]],
-                                  scale, parents)
-            for total, at, gt in zip(sums, cuts, grads):
-                if total is not None:
-                    total[at] += _unbroadcast(gt, total[at].shape)
-        for t, total in zip(parents, sums):
+            at = tile(sl)
+            if one:
+                p = kept                         # kept, so no scores are rebuilt
+            else:
+                p, _ = tile_scores(at)
+                p -= lse[at[5]]
+                np.exp(p, out=p)
+            gt, ot = g[at[5]], o[at[5]]
+            dv = np.swapaxes(p, -1, -2) @ gt if v.requires_grad else None
+            ds = gt @ np.swapaxes(v.data[at[2]], -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
+            ds -= (gt * ot).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq = None
+            if q.requires_grad:
+                dq = ds @ k.data[at[1]]
+                dq *= scale                      # scale dq, never ds, which may become the bias's
+            dk = np.swapaxes(ds, -1, -2) @ (q.data[at[0]] * scale) if k.requires_grad else None
+            for i, (t, d) in enumerate(zip(parents, (dq, dk, dv, ds))):
+                if t.requires_grad and one:
+                    t.accumulate_grad(_unbroadcast(d, t.shape))   # the bias's may be ds itself
+                elif t.requires_grad:
+                    sums[i][at[i]] += _unbroadcast(d, sums[i][at[i]].shape)
+        for t, total in zip(parents, sums or ()):
             if total is not None:
                 t.accumulate_grad(total)
-    return o, backward
+    return _record(Tensor(o), parents, backward, "attend")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -1,6 +1,7 @@
 import numpy as np
 
 from repo_module import load_module
+from score_count import softmax_entries
 
 fp = load_module("scripts/fingerprint.py")
 
@@ -25,3 +26,27 @@ def test_compare_fails_on_a_token_a_shape_or_a_missing_quantity(capsys):
     assert "tokens differ: 0|tokens|greedy: [3, 4] vs [3, 5]" in out
     assert "shape differs: 0|grads|w: (2,) vs (1,)" in out
     assert "only in this run: 0|loss|loss" in out
+
+
+def grid_numbers():
+    return [(kind, name, value) for seed, cfg in enumerate(fp.grid())
+            for kind, name, value in fp.quantities(cfg, seed)]
+
+
+def test_tiled_attention_gives_the_grid_numbers_of_one_tile(monkeypatch):
+    # drives the tiles through T5 bias, RoPE, decoder self- and
+    # cross-attention and beam folding
+    with softmax_entries() as one_tile:
+        one = grid_numbers()
+    monkeypatch.setattr(fp.T, "ATTEND_TILE", 16)
+    with softmax_entries() as tiles:
+        tiled = grid_numbers()
+    assert len(tiles) > len(one_tile)
+    assert [x[:2] for x in one] == [x[:2] for x in tiled]
+    for (kind, name, a), (_, _, b) in zip(one, tiled):
+        if kind == "tokens":
+            assert a == b, name
+        elif a is None or b is None:
+            assert a is b, name
+        else:
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12, name

@@ -374,6 +374,38 @@ class TestAttend:
         with pytest.raises(T.ShapeError, match=r"bias \(2, 3, 3\)"):
             T.attend(q, k, v, bias=np.zeros((2, 3, 3)))
 
+    @pytest.mark.parametrize("tile", [T.ATTEND_TILE, 16], ids=["default-tile", "tile-16"])
+    def test_zero_query_rows_and_zero_keys(self, tile, monkeypatch):
+        from longattn import attention as A
+        monkeypatch.setattr(T, "ATTEND_TILE", tile)
+        rng = np.random.default_rng(20)
+        k, v = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 3))
+        allow = np.ones((1, 0, 5), dtype=bool)
+        (gq, gk, gv), _ = grad_of(lambda q, k, v: T.tsum(T.attend(q, k, v, allow)),
+                                  np.zeros((2, 0, 4)), k, v)
+        assert T.attend(Tensor(np.zeros((2, 0, 4))), Tensor(k), Tensor(v)).shape == (2, 0, 3)
+        assert gq.shape == (2, 0, 4) and gk.shape == k.shape and gv.shape == v.shape
+        assert not gk.any() and not gv.any()
+        with pytest.raises(T.ShapeError):
+            A.cross_attention(Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.zeros((2, 0, 4))),
+                              Tensor(np.zeros((2, 0, 3))))
+
+    def test_tape_free_block_call_lets_the_scaled_queries_go(self):
+        # scores and probabilities are 3.1 MiB each; q·scale is 0.5 MiB more
+        # when held through the softmax instead of dying with the score matmul
+        rng = np.random.default_rng(21)
+        q = Tensor(rng.standard_normal((2, 33, 64, 16)))
+        k, v = (Tensor(rng.standard_normal((2, 33, 96, 16))) for _ in range(2))
+        allow = np.ones((1, 33, 1, 96), dtype=bool)
+        allow[0, 0, :, :16] = allow[0, -1, :, -16:] = False   # the pads of the end blocks
+        tracemalloc.start()
+        try:
+            T.attend(q, k, v, allow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * 2**20, peak / 2**20
+
     def test_full_attention_records_one_node(self):
         from longattn import attention as A
         rng = np.random.default_rng(14)
@@ -524,7 +556,7 @@ class _CheckedNodes(list):
 
 
 class TestSavedForBackward:
-    """Under a tape, layer_norm, gelu and one-tile attend keep no array beyond
+    """Under a tape, layer_norm, gelu and a loop-of-one attend keep no array beyond
     their output (and attend's probabilities) that is anywhere near the size
     of an input: backward rebuilds x̂, the tanh and the scaled queries."""
 
