@@ -221,9 +221,10 @@ def _write_loss_csv(path: Path, losses: list) -> None:
             f.write(f"{step},{loss:.10g}\n")
 
 
-# the keys each surgery op takes besides "op" and the optional "staggered",
-# each mapped to an example of the JSON type its value must have
-SURGERY_KEYS = {"local": {"block_size": 0}, "global_local": {"block_size": 0, "num_global": 0},
+# the keys each surgery op takes besides "op", each mapped to an example of the
+# JSON type its value must have; "staggered" is optional (default false)
+SURGERY_KEYS = {"local": {"block_size": 0, "staggered": False},
+                "global_local": {"block_size": 0, "num_global": 0, "staggered": False},
                 "replicate_positions": {"new_max_len": 0}, "drop_cross": {"keep_layers": [0]}}
 
 
@@ -237,9 +238,9 @@ def cmd_adapt(cfg: dict, out: Path) -> int:
         name = str(op.get("op"))
         if name not in SURGERY_KEYS:
             raise ConfigError(f"unknown surgery op '{name}'")
-        op = {"staggered": False, **op}
-        check_json({"op": "", "staggered": False, **SURGERY_KEYS[name]}, op,
-                   f"surgery op '{name}'")
+        keys = SURGERY_KEYS[name]
+        op = {"staggered": False, **op} if "staggered" in keys else op
+        check_json({"op": "", **keys}, op, f"surgery op '{name}'")
         src = ckpt.config.attention
         if name == "local":
             spec = AttentionSpec(Variant.BLOCK_LOCAL, op["block_size"], 0, op["staggered"],

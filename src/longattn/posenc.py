@@ -4,7 +4,8 @@ replication to longer lengths), rotary (RoPE), and T5-style relative bias.
 Application sites differ per scheme: sinusoidal / learned-absolute / none act
 on input embeddings, RoPE rotates per-head queries and keys, T5Relative adds a
 bucketed bias to attention logits. Global tokens carry no position and are
-never encoded.
+never encoded. Every scheme is built from tensor ops, so it defines no
+backward rule of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .tensor import _record  # package-internal op registration
 
 
 class Scheme(str, Enum):
@@ -79,17 +79,11 @@ def learned_absolute(table: Tensor, L: int, start: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # RoPE
 
-def _rope_angles(positions: np.ndarray, d: int, factor: float) -> tuple[np.ndarray, np.ndarray]:
-    theta = factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
-    ang = positions[:, None] * theta[None, :]
-    return np.cos(ang), np.sin(ang)
-
-
 def rope_apply(x: Tensor, positions, factor: float = 10000.0) -> Tensor:
     """Rotate frequency pairs (2i, 2i+1) of [h, L, d] by p * theta_i.
 
-    Applied to queries and keys only; a pure rotation, so it has an exact
-    analytic backward (inverse rotation of the gradient).
+    Applied to queries and keys only, as x·cos + (x @ rot)·sin where rot maps
+    each pair (x0, x1) to (-x1, x0): tensor ops, which differentiate it.
     """
     h, L, d = x.shape
     if d % 2 != 0:
@@ -97,22 +91,11 @@ def rope_apply(x: Tensor, positions, factor: float = 10000.0) -> Tensor:
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (L,):
         raise ValueError(f"positions shape {positions.shape} != ({L},)")
-    cos, sin = _rope_angles(positions, d, factor)   # [L, d/2]
-    x0 = x.data[..., 0::2]
-    x1 = x.data[..., 1::2]
-    out_arr = np.empty_like(x.data)
-    out_arr[..., 0::2] = x0 * cos - x1 * sin
-    out_arr[..., 1::2] = x0 * sin + x1 * cos
-    out = Tensor(out_arr)
-
-    def backward(g):
-        g0 = g[..., 0::2]
-        g1 = g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = g0 * cos + g1 * sin
-        gx[..., 1::2] = -g0 * sin + g1 * cos
-        x.accumulate_grad(gx)
-    return _record(out, (x,), backward, "rope")
+    theta = factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+    ang = positions[:, None] * theta[None, :]                     # [L, d/2]
+    cos, sin = np.repeat(np.cos(ang), 2, axis=1), np.repeat(np.sin(ang), 2, axis=1)
+    rot = np.eye(d)[np.arange(d) ^ 1] * np.tile([1.0, -1.0], d // 2)[:, None]
+    return T.add(T.mul(x, cos), T.mul(T.matmul(x, rot), sin))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode autodiff over a fixed op set.
+"""Dense float64 tensors with reverse-mode autodiff over a fixed op set. Only
+this module defines backward rules; other modules (RoPE's) compose its ops.
 
 Ops only record backward rules when a Tape is active and some input has
 requires_grad set; inference runs tape-free and allocates nothing extra.
@@ -9,10 +10,11 @@ ndarray or float operand in a Tensor that needs no grad. `attend` is the
 one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
 backward. It runs one loop over tiles of at most ATTEND_TILE scores: a call
 that fits one tile keeps its probabilities, a larger one recomputes them in
-backward. An op writes only into arrays it allocated, never into inputs,
-gradients or arrays saved for backward, so a backward rule may hand one array
-to several parents; it never writes into an array it has handed to a parent.
-Every op that computes checks its output for NaN/Inf and raises on violation.
+backward. `softmax` is no op, only attend's normaliser of score arrays. An op
+writes only into arrays it allocated, never into inputs, gradients or arrays
+saved for backward, so a backward rule may hand one array to several parents;
+it never writes into an array it has handed to a parent. Every op that
+computes checks its output for NaN/Inf and raises on violation.
 The movement ops (reshape, transpose, concat, narrow, pad_axis) only copy or
 view values, so they leave the check to the next op that computes.
 
@@ -331,22 +333,16 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization / softmax / loss
+# attention / normalization / loss
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    s = x - x.max(axis=axis, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
-
-    def backward(g):
-        gs = g * s
-        np.subtract(g, gs.sum(axis=axis, keepdims=True), out=gs)
-        a.accumulate_grad(np.multiply(gs, s, out=gs))
-    return _record(out, (a,), backward, "softmax")
+def softmax(s: np.ndarray) -> np.ndarray:
+    """Row probabilities of a score array over its last axis, in a new array:
+    attend's normaliser, called once per tile. It records no node and leaves
+    the finiteness check to attend, whose output a NaN here reaches."""
+    p = s - s.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
@@ -369,7 +365,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     allowed key come out zero. `bias` (broadcastable to the scores) may carry
     grad. One recorded op and one loop over tiles of at most ATTEND_TILE
     scores, cut along one axis (Rabe & Staats 2021, arXiv 2112.05682): forward
-    calls the grad-free softmax once per tile. Scores that fit one tile are a
+    calls softmax once per tile. Scores that fit one tile are a
     loop of one, whose node keeps their probabilities and no other
     score-sized array. Larger scores keep each row's log-sum-exp instead:
     backward recomputes each tile's p = exp(s - lse) and adds the tile's share
@@ -403,6 +399,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
             s += np.where(mask, 0.0, MASK_NEG)
         return s, mask
 
+    if k.shape[-2:-1] == (0,):
+        raise ShapeError(f"attend: empty key axis in k {k.shape}: no key to attend to")
     try:
         rows = q.shape[:-1] if q.shape[:-2] == k.shape[:-2] else \
             np.broadcast_shapes(q.shape[:-1], k.shape[:-2] + (1,))
@@ -415,8 +413,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
         for sl in tiles:
             at = tile(sl)
             s, mask = tile_scores(at)
-            # the module's softmax on a grad-free tensor: one call per tile, no node
-            p = softmax(Tensor(s)).data
+            p = softmax(s)                       # once per tile, so its calls count the scores
             dead = None if mask is None else ~mask.any(axis=-1, keepdims=True)
             if dead is not None and dead.any():
                 p *= np.where(dead, 0.0, 1.0)    # a dead row comes out uniform; zero it

@@ -387,6 +387,12 @@ class TestInputContract:
                                    'surgery.chain=[{"op": "local", "block_size": 8, "staggered": [1]}]'],
         "surgery-unknown-key": ["adapt", "--ckpt", "CKPT", "--set",
                                 'surgery.chain=[{"op":"local","block_size":8,"stagered":true}]'],
+        "surgery-staggered-on-drop-cross": [
+            "adapt", "--ckpt", "CKPT", "--set",
+            'surgery.chain=[{"op":"drop_cross","keep_layers":[0],"staggered":true}]'],
+        "surgery-staggered-on-replicate": [
+            "adapt", "--ckpt", "CKPT", "--set",
+            'surgery.chain=[{"op":"replicate_positions","new_max_len":64,"staggered":false}]'],
         "run-json-learned-max-len": ["finetune", "--data", "CORPUS", "--config", "OLD_RUN_JSON"],
         "steps-negative": ["finetune", "--data", "CORPUS", "--set", "train.steps=-1"],
         "len-min-zero": ["gen-data", "--set", "data.len_min=0", "--set", "data.len_max=0"],
@@ -472,6 +478,8 @@ class TestInputContract:
              "token-not-int": ("TOKEN_STR line 1", '"x"'),
              "pretrain-data-vocab-above-model": ("data.vocab_size", "model.vocab_size"),
              "surgery-unknown-key": ("'stagered'",),
+             "surgery-staggered-on-drop-cross": ("'staggered'", "drop_cross"),
+             "surgery-staggered-on-replicate": ("'staggered'", "replicate_positions"),
              "run-json-learned-max-len": ("'model.posenc.learned_max_len'",),
              "steps-negative": ("steps", "-1"),
              "pretrain-sentences-short-zero": ("'data.sentences_short'",),

@@ -111,6 +111,29 @@ class TestRope:
             return rq @ rk
         assert abs(dot(p1, p2) - dot(p1 + shift, p2 + shift)) < 1e-8
 
+    def test_matches_pairwise_rotation_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        x, pos = rng.standard_normal((2, 5, 8)), np.arange(3.0, 8.0)
+        ang = pos[:, None] * 10000.0 ** (-np.arange(0, 8, 2) / 8)
+        x0, x1 = x[..., 0::2], x[..., 1::2]
+        want = np.empty_like(x)
+        want[..., 0::2] = x0 * np.cos(ang) - x1 * np.sin(ang)
+        want[..., 1::2] = x0 * np.sin(ang) + x1 * np.cos(ang)
+        assert np.array_equal(P.rope_apply(Tensor(x), pos).data, want)
+
+    def test_built_from_tensor_ops(self, monkeypatch):
+        # posenc defines no backward rule: a taped call records only tensor ops
+        ops, record = [], T._record
+
+        def spy(out, parents, backward, op):
+            ops.append(op)
+            return record(out, parents, backward, op)
+
+        monkeypatch.setattr(T, "_record", spy)
+        with T.Tape():
+            P.rope_apply(Tensor(np.ones((1, 2, 4)), requires_grad=True), [0, 1])
+        assert ops == ["mul", "matmul", "mul", "add"]
+
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError):
             P.rope_apply(Tensor(np.zeros((1, 2, 5))), [0, 1])

@@ -55,12 +55,12 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, [1 / 3] * 3)
+        out = T.softmax(np.array([0.0, 0.0, 0.0]))
+        assert np.allclose(out, [1 / 3] * 3)
 
     def test_stability_no_nan(self):
-        out = T.softmax(Tensor([1000.0, 0.0]))
-        assert np.allclose(out.data, [1.0, 0.0])
+        out = T.softmax(np.array([1000.0, 0.0]))
+        assert np.allclose(out, [1.0, 0.0])
 
     def test_high_precision_oracle(self):
         import mpmath
@@ -68,17 +68,13 @@ class TestSoftmax:
         xs = [1.0, 2.0, 3.0]
         es = [mpmath.exp(x) for x in xs]
         ref = [float(e / sum(es)) for e in es]
-        out = T.softmax(Tensor(xs))
-        assert np.abs(out.data - ref).max() < 1e-15
+        out = T.softmax(np.array(xs))
+        assert np.abs(out - ref).max() < 1e-15
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=20))
     def test_slices_sum_to_one(self, xs):
-        out = T.softmax(Tensor(xs))
-        assert abs(out.data.sum() - 1.0) < 1e-9
-
-    def test_bad_axis(self):
-        with pytest.raises(T.ShapeError):
-            T.softmax(Tensor([1.0, 2.0]), axis=3)
+        out = T.softmax(np.array(xs))
+        assert abs(out.sum() - 1.0) < 1e-9
 
 
 class TestLayerNorm:
@@ -386,9 +382,18 @@ class TestAttend:
         assert T.attend(Tensor(np.zeros((2, 0, 4))), Tensor(k), Tensor(v)).shape == (2, 0, 3)
         assert gq.shape == (2, 0, 4) and gk.shape == k.shape and gv.shape == v.shape
         assert not gk.any() and not gv.any()
-        with pytest.raises(T.ShapeError):
+        with pytest.raises(T.ShapeError, match=r"empty key axis in k \(2, 0, 4\)"):
             A.cross_attention(Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.zeros((2, 0, 4))),
                               Tensor(np.zeros((2, 0, 3))))
+
+    @pytest.mark.parametrize("tile", [T.ATTEND_TILE, 16], ids=["default-tile", "tile-16"])
+    def test_non_finite_scores_name_attend(self, tile, monkeypatch):
+        # softmax scans nothing: its NaNs reach the output, which attend scans once
+        monkeypatch.setattr(T, "ATTEND_TILE", tile)
+        q, k, v = np.random.default_rng(22).standard_normal((3, 2, 5, 4))
+        q[1, 2, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="'attend'"):
+            T.attend(Tensor(q), Tensor(k), Tensor(v))
 
     def test_tape_free_block_call_lets_the_scaled_queries_go(self):
         # scores and probabilities are 3.1 MiB each; q·scale is 0.5 MiB more
@@ -630,12 +635,6 @@ class TestInPlaceKernels:
                    rng.standard_normal((3, 4, 6)), rng.standard_normal(6),
                    rng.standard_normal(6))
 
-    @pytest.mark.parametrize("axis", [-1, 0])
-    def test_softmax(self, axis):
-        rng = np.random.default_rng(3)
-        self.check(lambda x: self.weighted(T.softmax(x, axis=axis)),
-                   rng.standard_normal((3, 4, 5)))
-
     def test_attend_full(self):
         from longattn import attention as A
         rng = np.random.default_rng(4)
@@ -698,8 +697,8 @@ class TestFiniteDiff:
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
         def build(t):
-            p = T.softmax(T.gelu(T.matmul(t, Tensor(w))), axis=-1)
-            return T.tsum(T.mul(p, Tensor(v)))
+            h = T.gelu(T.matmul(t, Tensor(w)))
+            return T.tsum(T.mul(T.attend(h, Tensor(v), Tensor(v)), h))
 
         with T.Tape():
             loss = build(x)
@@ -712,6 +711,6 @@ def test_determinism_same_seed():
     def run():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 4)))
-        y = T.softmax(T.matmul(x, x), axis=-1)
+        y = T.attend(x, x, x)
         return T.dropout(y, 0.3, True, np.random.default_rng(7)).data
     assert np.array_equal(run(), run())
