@@ -72,7 +72,7 @@ def train_arm(name, train_pairs, test_pairs, steps=STEPS, eval_every=CHUNK, lr=L
         losses: list = []
         TR.train(cfg, params, train_pairs, steps=eval_every, batch_size=BATCH,
                  seed=chunk, lr=lr, warmup=WARMUP if chunk == 0 else 1,
-                 log_every=0, loss_log=losses)
+                 loss_log=losses)
         tail = [loss for _, loss in losses[-50:]]
         yield ((chunk + 1) * eval_every, sum(tail) / len(tail),
                TR.exact_match(cfg, params, test_pairs))

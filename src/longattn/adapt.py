@@ -13,6 +13,8 @@ not about.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from .tensor import Tensor
 from .model import ModelConfig, check_json, param_shapes
 from .attention import AttentionSpec, Variant
-from .posenc import Scheme, replicate
+from .posenc import T5_BUCKETS, T5_MAX_DISTANCE, Scheme, replicate
 # after the package modules, which load hashlib first (model.py): loading it ahead of
 # them moves perfbench train-long into a slower allocator layout (+8% step time)
 import hashlib  # noqa: E402
@@ -52,8 +54,14 @@ class Checkpoint:
                 for k, v in self.arrays.items()}
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
+        """Write the three files into a temporary directory beside `path`, then
+        rename it to `path`, so a failed save leaves the checkpoint already there
+        whole; that one is moved aside first and removed after. A directory
+        holding other files is refused."""
+        path, files = Path(path), {"manifest.json", "params.bin", "config.json"}
+        if path.exists() and {f.name for f in path.iterdir()} - files:
+            raise CheckpointError(f"{path} holds files other than a checkpoint's "
+                                  f"{sorted(files)}; refusing to replace it")
         entries, offset = {}, 0
         for name, arr in self.arrays.items():
             entries[name] = {"shape": list(arr.shape), "dtype": "float32", "offset": offset}
@@ -61,9 +69,22 @@ class Checkpoint:
         blob = b"".join(arr.tobytes() for arr in self.arrays.values())
         manifest = {"format_version": FORMAT_VERSION,
                     "sha256": hashlib.sha256(blob).hexdigest(), "params": entries}
-        (path / "manifest.json").write_text(json.dumps(manifest, indent=1))
-        (path / "params.bin").write_bytes(blob)
-        (path / "config.json").write_text(json.dumps(self.config.to_dict(), indent=1))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp, old = (path.with_name(f".{path.name}.{os.getpid()}.{s}") for s in ("tmp", "old"))
+        tmp.mkdir()
+        try:
+            (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1))
+            (tmp / "params.bin").write_bytes(blob)
+            (tmp / "config.json").write_text(json.dumps(self.config.to_dict(), indent=1))
+            if path.exists():
+                path.rename(old)
+            tmp.rename(path)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            if old.exists() and not path.exists():
+                old.rename(path)
+            raise
+        shutil.rmtree(old, ignore_errors=True)
 
     @classmethod
     def load_dir(cls, path) -> "Checkpoint":
@@ -105,11 +126,22 @@ class Checkpoint:
 
 
 def load_config(path) -> ModelConfig:
-    """A checkpoint's config.json, checked by `model.check_json` as the CLI's configs are."""
+    """A checkpoint's config.json, checked by `model.check_json` as the CLI's configs are.
+    An older one's `posenc` object loads as its scheme if its other values are the
+    ones the model now fixes."""
     cpath = Path(path) / "config.json"
     raw = json.loads(cpath.read_text())
-    if type(raw) is dict and type(raw.get("posenc")) is dict:
-        raw["posenc"].pop("learned_max_len", None)   # in checkpoints from before its removal
+    if type(raw) is dict and type(raw.get("posenc")) is dict:   # older: an object
+        pe = raw["posenc"]
+        pe.pop("learned_max_len", None)   # in checkpoints from before its removal
+        fixed = {"sinusoidal_factor": 10000.0, "t5_num_buckets": T5_BUCKETS,
+                 "t5_max_distance": T5_MAX_DISTANCE}
+        check_json({"scheme": "", **fixed}, pe, str(cpath), "posenc")
+        for key, value in fixed.items():
+            if pe[key] != value:
+                raise CheckpointError(f"{cpath} key 'posenc.{key}' must be {value}, "
+                                      f"the value the model fixes, got {json.dumps(pe[key])}")
+        raw["posenc"] = pe["scheme"]
     check_json(ModelConfig().to_dict(), raw, str(cpath))
     return ModelConfig.from_dict(raw)
 
@@ -184,10 +216,10 @@ def port_to_global_local(ckpt: Checkpoint, new_attn: AttentionSpec, rng_seed: in
 
 def replicate_positions(ckpt: Checkpoint, new_max_len: int) -> Checkpoint:
     """Tile the learned encoder position table up to new_max_len rows."""
-    if ckpt.config.posenc.scheme != Scheme.LEARNED_ABSOLUTE:
+    if ckpt.config.posenc != Scheme.LEARNED_ABSOLUTE:
         raise CheckpointError(
             f"replicate_positions needs LearnedAbsolute positions, "
-            f"config has {ckpt.config.posenc.scheme.value}")
+            f"config has {ckpt.config.posenc.value}")
     old = ckpt.config.max_input_len
     if new_max_len < old:
         raise CheckpointError(f"new_max_len {new_max_len} < current {old}")

@@ -40,8 +40,7 @@ DEFAULTS: dict[str, dict] = {
     "gen-data": {
         "seed": 0,
         "data": {"kind": "copy", "n_docs": 200, "len_min": 8, "len_max": 16,
-                 "vocab_size": 64, "needle_block": 32, "needle_decoys": 3,
-                 "seed_offset": 0},
+                 "vocab_size": 64, "needle_block": 32, "needle_decoys": 3},
     },
     "pretrain": {
         "seed": 0, "model": DEFAULT_MODEL,
@@ -55,8 +54,7 @@ DEFAULTS: dict[str, dict] = {
     "adapt": {"seed": 0, "ckpt": "", "surgery": {"chain": []}},
     "finetune": {
         "seed": 0, "ckpt": "", "model": DEFAULT_MODEL,
-        "train": {"steps": 200, "batch": 4, "lr": 1e-3, "warmup": 50,
-                  "log_every": 50},
+        "train": {"steps": 200, "batch": 4, "lr": 1e-3, "warmup": 50},
         "data": {"path": ""},
     },
     "eval": {
@@ -120,6 +118,11 @@ def resolve_config(command: str, config_path: str | None, sets: list[str],
         for part in reversed(key.split(".")):
             value = {part: value}
         cfg = _merge(cfg, value)
+    model = cfg.get("model")
+    if type(model) is dict and type(model.get("posenc")) is dict:   # an older run.json
+        key = next((k for k in model["posenc"] if k != "scheme"), "scheme")
+        raise ConfigError(f"config has unknown key 'model.posenc.{key}': "
+                          "model.posenc is now the scheme's name")
     check_json(DEFAULTS[command], cfg, "config")
     if cfg["seed"] < 0:
         raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
@@ -161,11 +164,8 @@ def write_run_json(out: Path, command: str, cfg: dict) -> None:
 
 def cmd_gen_data(cfg: dict, out: Path) -> int:
     d = cfg["data"]
-    seed = cfg["seed"] + d["seed_offset"]
-    if seed < 0:
-        raise ConfigError(f"config key 'data.seed_offset' gives seed {seed}, below 0")
     docs = D.gen_corpus(d["kind"], d["n_docs"], (d["len_min"], d["len_max"]),
-                        d["vocab_size"], seed,
+                        d["vocab_size"], cfg["seed"],
                         needle_block=d["needle_block"],
                         needle_decoys=d["needle_decoys"])
     D.write_jsonl(docs, out / "corpus.jsonl")
@@ -176,6 +176,15 @@ def cmd_gen_data(cfg: dict, out: Path) -> int:
 def cmd_pretrain(cfg: dict, out: Path) -> int:
     _require_positive(cfg, "data.sentences_short", "data.sentences_long",
                       "schedule.output_len")
+    # a phase's GSG inputs then fit in the model, and are at most its input_len long
+    for key, bound in (("schedule.short_len", "model.max_input_len"),
+                       ("schedule.long_len", "model.max_input_len"),
+                       ("schedule.output_len", "model.max_output_len"),
+                       ("data.sentences_short", "schedule.short_len"),
+                       ("data.sentences_long", "schedule.long_len")):
+        value, limit = (cfg[section][name] for section, name in (key.split("."), bound.split(".")))
+        if value > limit:
+            raise ConfigError(f"config key '{key}' ({value}) must be <= '{bound}' ({limit})")
     mcfg = ModelConfig.from_dict(cfg["model"])
     sc = cfg["schedule"]
     schedule = D.build_schedule(sc["shape"], sc["total_budget"], sc["short_len"],
@@ -191,7 +200,7 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
     for pi, phase in enumerate(schedule.phases):
         n_sent = (dcfg["sentences_short"] if phase.input_len == sc["short_len"]
                   else dcfg["sentences_long"])
-        sent_len = max(1, phase.input_len // n_sent)
+        sent_len = phase.input_len // n_sent
         docs = D.gen_corpus("copy", dcfg["n_docs"],
                             (sent_len * n_sent, sent_len * n_sent),
                             dcfg["vocab_size"], cfg["seed"] + 1000 + pi)
@@ -201,8 +210,7 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
                      for i in range(0, len(doc.flat()), sent_len)]
             gdoc = D.SyntheticDoc(sents)
             inp, tgt = D.gsg_mask(gdoc, phase.mask_ratio, cfg["seed"] + 2000 + di)
-            examples.append((inp[:mcfg.max_input_len],
-                             tgt[:min(phase.output_len, mcfg.max_output_len)]))
+            examples.append((inp, tgt[:phase.output_len]))
         TR.train(mcfg, params, examples, phase.steps, sc["batch"],
                  cfg["seed"] + 3000 + pi, lr=cfg["train"]["lr"],
                  warmup=cfg["train"]["warmup"], loss_log=losses)
@@ -282,8 +290,7 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
     tr = cfg["train"]
     losses: list = []
     TR.train(mcfg, params, pairs, tr["steps"], tr["batch"], cfg["seed"],
-             lr=tr["lr"], warmup=tr["warmup"], log_every=tr["log_every"],
-             loss_log=losses)
+             lr=tr["lr"], warmup=tr["warmup"], loss_log=losses)
     AD.save(mcfg, params, out / "ckpt")
     _write_loss_csv(out / "loss.csv", losses)
     print(f"finetuned {tr['steps']} steps on {len(pairs)} examples")
@@ -302,10 +309,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     report = R.corpus_report(outputs)
     em = sum(1 for h, t in outputs if list(h) == list(t)) / len(outputs)
     with open(out / "rouge.csv", "w") as f:
-        f.write("r1,r2,rl,rlsum,rg\n")
+        f.write("r1,r2,rl,rg\n")
         f.write(f"{report.rouge1.f1:.6f},{report.rouge2.f1:.6f},"
-                f"{report.rougeL.f1:.6f},{report.rougeLsum.f1:.6f},"
-                f"{report.rg:.6f}\n")
+                f"{report.rougeL.f1:.6f},{report.rg:.6f}\n")
     (out / "metrics.json").write_text(json.dumps(
         {"exact_match": em, "rg": report.rg, "n": report.n_examples}, indent=1))
     print(f"rg={report.rg:.4f} exact_match={em:.3f} over {len(outputs)} examples")

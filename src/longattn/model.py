@@ -21,7 +21,7 @@ from . import posenc as P
 from . import attention as A
 from .tensor import Tensor
 from .attention import AttentionSpec, Variant
-from .posenc import PosEncConfig, Scheme
+from .posenc import Scheme
 from .data import PAD_ID, EOS_ID, BOS_ID
 
 
@@ -39,7 +39,7 @@ class ModelConfig:
     dec_layers: int = 2
     attention: AttentionSpec = field(
         default_factory=lambda: AttentionSpec(num_heads=2, head_dim=16))
-    posenc: PosEncConfig = field(default_factory=PosEncConfig)
+    posenc: Scheme = Scheme.SINUSOIDAL
     cross_attn_layers: tuple = ()        # empty tuple means "all decoder layers"
     decoder_global_attn: bool = False
     max_input_len: int = 512
@@ -73,7 +73,7 @@ class ModelConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["attention"]["variant"] = self.attention.variant.value
-        d["posenc"]["scheme"] = self.posenc.scheme.value
+        d["posenc"] = self.posenc.value
         d["cross_attn_layers"] = list(self.cross_layers())
         return d
 
@@ -82,10 +82,9 @@ class ModelConfig:
         d = dict(d)
         att = dict(d.pop("attention"))
         att["variant"] = Variant(att["variant"])
-        pe = dict(d.pop("posenc"))
-        pe["scheme"] = Scheme(pe["scheme"])
+        d["posenc"] = Scheme(d["posenc"])
         d["cross_attn_layers"] = tuple(d.get("cross_attn_layers", ()))
-        return cls(attention=AttentionSpec(**att), posenc=PosEncConfig(**pe), **d)
+        return cls(attention=AttentionSpec(**att), **d)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -125,9 +124,8 @@ def make_config(variant=Variant.FULL, *, block_size=64, num_global=0, staggered=
     spec = AttentionSpec(variant=variant, block_size=block_size,
                          num_global=num_global, staggered=staggered,
                          num_heads=num_heads, head_dim=d_model // num_heads)
-    pe = kw.pop("posenc", None) or PosEncConfig(scheme=scheme)
     return ModelConfig(d_model=d_model, num_heads=num_heads, attention=spec,
-                       posenc=pe, **kw)
+                       posenc=scheme, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +157,14 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     attn = lambda p: {f"{p}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")}
     ffn = lambda p: {p + ".w1": (d, dff), p + ".w2": (dff, d)}
     shapes: dict[str, tuple] = {"embed.tok": (V, d)}
-    if cfg.posenc.scheme == Scheme.LEARNED_ABSOLUTE:
+    if cfg.posenc == Scheme.LEARNED_ABSOLUTE:
         shapes["embed.pos_enc"] = (cfg.max_input_len, d)
         shapes["embed.pos_dec"] = (cfg.max_output_len, d)
     if spec.num_global > 0:
         shapes["embed.global"] = (spec.num_global, d)
-    if cfg.posenc.scheme == Scheme.T5_RELATIVE:
-        shapes["posenc.bias_enc"] = (cfg.num_heads, cfg.posenc.t5_num_buckets)
-        shapes["posenc.bias_dec"] = (cfg.num_heads, cfg.posenc.t5_num_buckets)
+    if cfg.posenc == Scheme.T5_RELATIVE:
+        shapes["posenc.bias_enc"] = (cfg.num_heads, P.T5_BUCKETS)
+        shapes["posenc.bias_dec"] = (cfg.num_heads, P.T5_BUCKETS)
     for i in range(cfg.enc_layers):
         p = f"enc.{i}."
         shapes |= ln(p + "ln1")
@@ -240,8 +238,8 @@ def _ffn(params, prefix: str, x: Tensor) -> Tensor:
 
 def _maybe_rope(cfg: ModelConfig, x: Tensor, positions) -> Tensor:
     """RoPE at `positions` under the RoPE scheme; None means no positions."""
-    if cfg.posenc.scheme == Scheme.ROPE and positions is not None:
-        return P.rope_apply(x, positions, cfg.posenc.sinusoidal_factor)
+    if cfg.posenc == Scheme.ROPE and positions is not None:
+        return P.rope_apply(x, positions)
     return x
 
 
@@ -249,10 +247,9 @@ def _embed(cfg: ModelConfig, params, ids, side: str, start: int, n: int) -> Tens
     """Scaled token embeddings plus absolute positions start .. start + n - 1:
     ids is one sequence of n tokens, or with n == 1 one token per sequence."""
     x = T.mul(T.embedding_lookup(params["embed.tok"], ids), cfg.d_model ** 0.5)
-    sch = cfg.posenc.scheme
-    if sch == Scheme.SINUSOIDAL:
-        x = T.add(x, P.sinusoidal(n, cfg.d_model, cfg.posenc.sinusoidal_factor, start))
-    elif sch == Scheme.LEARNED_ABSOLUTE:
+    if cfg.posenc == Scheme.SINUSOIDAL:
+        x = T.add(x, P.sinusoidal(n, cfg.d_model, start=start))
+    elif cfg.posenc == Scheme.LEARNED_ABSOLUTE:
         table = params["embed.pos_enc" if side == "enc" else "embed.pos_dec"]
         x = T.add(x, P.learned_absolute(table, n, start))
     return x
@@ -262,11 +259,10 @@ def _enc_bias(cfg: ModelConfig, params, L: int):
     """Encoder self-attention logit bias: the one [h, b, b] bias that every
     block of the encoder layout shares. Full attention is one block of L,
     so its bias is [h, L, L]."""
-    if cfg.posenc.scheme != Scheme.T5_RELATIVE:
+    if cfg.posenc != Scheme.T5_RELATIVE:
         return None
-    pe = cfg.posenc
     b = A.encoder_layout(cfg.attention, L, 0).block_size
-    return P.block_relative_bias(b, pe.t5_num_buckets, pe.t5_max_distance,
+    return P.block_relative_bias(b, P.T5_BUCKETS, P.T5_MAX_DISTANCE,
                                  params["posenc.bias_enc"])
 
 
@@ -381,9 +377,8 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
 
     x = _embed(cfg, params, out_ids, "dec", t0, n)
     dec_bias = None
-    if cfg.posenc.scheme == Scheme.T5_RELATIVE:
-        pe = cfg.posenc
-        dec_bias = P.t5_relative_bias(n, t0 + n, pe.t5_num_buckets, pe.t5_max_distance,
+    if cfg.posenc == Scheme.T5_RELATIVE:
+        dec_bias = P.t5_relative_bias(n, t0 + n, P.T5_BUCKETS, P.T5_MAX_DISTANCE,
                                       params["posenc.bias_dec"], bidirectional=False,
                                       q_start=t0)
     # One position per sequence: a reshape folds the B hypotheses into the

@@ -6,12 +6,15 @@ on input embeddings, RoPE rotates per-head queries and keys, T5Relative adds a
 bucketed bias to attention logits. Global tokens carry no position and are
 never encoded. Every scheme is built from tensor ops, so it defines no
 backward rule of its own.
+
+The model fixes its constants: base 10000 for sinusoidal and RoPE (the
+functions' default), and T5_BUCKETS buckets up to T5_MAX_DISTANCE for the T5
+bias (Raffel et al. 2019). The functions take them as arguments for the oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,20 +31,8 @@ class Scheme(str, Enum):
     T5_RELATIVE = "t5_relative"
 
 
-@dataclass(frozen=True)
-class PosEncConfig:
-    scheme: Scheme = Scheme.SINUSOIDAL
-    sinusoidal_factor: float = 10000.0
-    t5_num_buckets: int = 32
-    t5_max_distance: int = 128
-
-    def __post_init__(self):
-        if self.sinusoidal_factor <= 1:
-            raise ValueError("sinusoidal factor must be > 1")
-        if self.t5_num_buckets < 2:
-            raise ValueError("need at least 2 relative buckets")
-        if self.t5_max_distance <= self.t5_num_buckets:
-            raise ValueError("max_distance must exceed num_buckets")
+T5_BUCKETS = 32
+T5_MAX_DISTANCE = 128
 
 
 def sinusoidal(L: int, d: int, factor: float = 10000.0, start: int = 0) -> np.ndarray:

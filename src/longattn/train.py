@@ -1,17 +1,13 @@
-"""Adam training loop over the seq2seq model, with loss logging and
+"""Adam training loop over the seq2seq model, with a per-step loss record and
 exact-match evaluation helpers."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
 from . import tensor as T
 from .model import ModelConfig, seq2seq_loss, greedy_decode
 from .data import SyntheticDoc
-
-log = logging.getLogger(__name__)
 
 
 class Adam:
@@ -79,8 +75,9 @@ def train_step(cfg: ModelConfig, params, batch, opt: Adam,
 
 def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
           batch_size: int, seed: int, lr: float = 1e-3, warmup: int = 100,
-          log_every: int = 50, loss_log: list | None = None) -> None:
-    """Train for `steps` steps, sampling batches with replacement.
+          loss_log: list | None = None) -> None:
+    """Train for `steps` steps, sampling batches with replacement, appending
+    each step's (step, loss) to `loss_log` if given.
 
     Linear learning-rate warmup over `warmup` steps, constant afterwards;
     gradients are clipped to global L2 norm 1. Each call starts a fresh Adam.
@@ -103,8 +100,6 @@ def train(cfg: ModelConfig, params, examples: list[tuple], steps: int,
         loss = train_step(cfg, params, batch, opt, rng, lr=cur_lr)
         if loss_log is not None:
             loss_log.append((step, loss))
-        if log_every and step % log_every == 0:
-            log.info("step %d loss %.4f", step, loss)
 
 
 def exact_match(cfg: ModelConfig, params, examples: list[tuple]) -> float:

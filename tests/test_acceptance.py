@@ -383,8 +383,7 @@ class TestCliSmoke:
             "--set", "model.dec_layers=1",
             "--set", "model.cross_attn_layers=[0]",
             "--set", "model.dropout_p=0.0",
-            "--set", "train.steps=8", "--set", "train.batch=2",
-            "--set", "train.log_every=0"])
+            "--set", "train.steps=8", "--set", "train.batch=2"])
 
     def test_pipeline_and_bit_identical_rerun(self, tmp_path):
         assert self._gen(tmp_path / "data") == 0

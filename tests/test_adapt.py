@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,19 +117,76 @@ class TestRoundTrip:
             AD.load(tmp_path / "g", cfg=drifted)
         AD.load(tmp_path / "g", cfg=cfg)   # matching config passes
 
-    def test_config_with_learned_max_len_loads(self, tmp_path):
-        # checkpoints written before the key's removal carry it in config.json
-        cfg = cfg_full()
+    # config.json's posenc object in older checkpoints: the scheme and the values
+    # the model now fixes, and before that also learned_max_len
+    OLD_POSENC = {"sinusoidal_factor": 10000.0, "t5_num_buckets": 32, "t5_max_distance": 128}
+
+    @pytest.mark.parametrize("extra", [{}, {"learned_max_len": 512}])
+    @pytest.mark.parametrize("scheme", [Scheme.SINUSOIDAL, Scheme.T5_RELATIVE])
+    def test_old_posenc_object_loads(self, tmp_path, scheme, extra):
+        cfg = cfg_full(scheme=scheme)
         params = M.init_params(cfg, 0)
         AD.save(cfg, params, tmp_path / "old")
         path = tmp_path / "old" / "config.json"
         d = json.loads(path.read_text())
-        d["posenc"]["learned_max_len"] = 512
+        d["posenc"] = {"scheme": d["posenc"], **self.OLD_POSENC, **extra}
         path.write_text(json.dumps(d, indent=1))
         cfg2, params2 = AD.load(tmp_path / "old", cfg=cfg)   # hashes match
-        assert "learned_max_len" not in cfg2.to_dict()["posenc"]
+        assert cfg2 == ModelConfig.from_dict(cfg.to_dict())    # as the new format loads
         assert all(np.array_equal(params2[k].data, params[k].data.astype("<f4"))
                    for k in params)
+
+    @pytest.mark.parametrize("key, value", [("t5_num_buckets", 16), ("t5_max_distance", 64),
+                                            ("sinusoidal_factor", 500.0),
+                                            ("t5_num_buckets", "32")])
+    def test_old_posenc_object_with_another_value_names_the_key(self, tmp_path, key, value):
+        cfg = cfg_full()
+        AD.save(cfg, M.init_params(cfg, 0), tmp_path / "old")
+        path = tmp_path / "old" / "config.json"
+        d = json.loads(path.read_text())
+        d["posenc"] = {"scheme": d["posenc"], **self.OLD_POSENC, key: value}
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"'posenc.{key}'"):
+            AD.load(tmp_path / "old")
+
+    def test_failed_resave_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        cfg = cfg_full()
+        params = M.init_params(cfg, 0)
+        AD.save(cfg, params, tmp_path / "ck")
+        before = {f.name: f.read_bytes() for f in (tmp_path / "ck").iterdir()}
+        write_bytes = Path.write_bytes
+
+        def failing(self, data):
+            if self.name == "params.bin":
+                raise OSError("disk full")
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing)
+        with pytest.raises(OSError, match="disk full"):
+            AD.save(cfg, M.init_params(cfg, 1), tmp_path / "ck")
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["ck"]     # no temp dir left
+        assert {f.name: f.read_bytes() for f in (tmp_path / "ck").iterdir()} == before
+        _, params2 = AD.load(tmp_path / "ck")
+        assert all(np.array_equal(params2[k].data, params[k].data.astype("<f4"))
+                   for k in params)
+
+    def test_resave_replaces_and_leaves_no_temp_dir(self, tmp_path):
+        cfg = cfg_full()
+        AD.save(cfg, M.init_params(cfg, 0), tmp_path / "ck")
+        params = M.init_params(cfg, 1)
+        AD.save(cfg, params, tmp_path / "ck")
+        assert [f.name for f in tmp_path.iterdir()] == ["ck"]
+        _, params2 = AD.load(tmp_path / "ck")
+        assert all(np.array_equal(params2[k].data, params[k].data.astype("<f4"))
+                   for k in params)
+
+    def test_save_refuses_a_directory_with_other_files(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        cfg = cfg_full()
+        with pytest.raises(CheckpointError, match="other than"):
+            AD.save(cfg, M.init_params(cfg, 0), tmp_path)
+        assert [f.name for f in tmp_path.iterdir()] == ["notes.txt"]
 
 
 class TestPortToLocal:

@@ -253,7 +253,7 @@ class TestEvalCommand:
                   "--set", "decode.max_len=8"])
         assert rc == 0
         header, row = (tmp_path / "ev" / "rouge.csv").read_text().splitlines()
-        assert header == "r1,r2,rl,rlsum,rg"
+        assert header == "r1,r2,rl,rg"
         assert float(row.split(",")[-1]) == 1.0
         metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert metrics["exact_match"] == 1.0
@@ -331,7 +331,9 @@ class TestInputContract:
                  "TARGET_INT": '{"sentences": [[6, 7]], "target": 6}\n',
                  "TOKEN_STR": '{"sentences": [[6, "x"]], "target": [6]}\n',
                  "OLD_RUN_JSON": json.dumps({"command": "finetune", "seed": 0, "config": {
-                     "model": {"posenc": {"learned_max_len": 512}}}})}
+                     "model": {"posenc": {"learned_max_len": 512}}}}),
+                 "RUN_JSON_LOG_EVERY": json.dumps({"command": "finetune", "config": {
+                     "train": {"log_every": 50}}})}
         for name, text in texts.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
@@ -355,6 +357,10 @@ class TestInputContract:
         "D_MODEL_STR": ("config.json", lambda c: {**c, "d_model": "16"}),
         "FLOAT16": ("manifest.json", lambda m: {**m, "params": {
             k: {**v, "dtype": "float16"} for k, v in m["params"].items()}}),
+        # an older checkpoint's posenc object, with a value the model no longer takes
+        "POSENC_BUCKETS_16": ("config.json", lambda c: {**c, "posenc": {
+            "scheme": c["posenc"], "sinusoidal_factor": 10000.0, "t5_num_buckets": 16,
+            "t5_max_distance": 128}}),
     }
 
     CASES = {
@@ -394,6 +400,8 @@ class TestInputContract:
             "adapt", "--ckpt", "CKPT", "--set",
             'surgery.chain=[{"op":"replicate_positions","new_max_len":64,"staggered":false}]'],
         "run-json-learned-max-len": ["finetune", "--data", "CORPUS", "--config", "OLD_RUN_JSON"],
+        "run-json-log-every": ["finetune", "--data", "CORPUS", "--config", "RUN_JSON_LOG_EVERY"],
+        "config-posenc-buckets-16": ["eval", "--ckpt", "POSENC_BUCKETS_16", "--data", "CORPUS"],
         "steps-negative": ["finetune", "--data", "CORPUS", "--set", "train.steps=-1"],
         "len-min-zero": ["gen-data", "--set", "data.len_min=0", "--set", "data.len_max=0"],
         # long enough documents that only the needle bound can fail
@@ -432,6 +440,11 @@ class TestInputContract:
         "pretrain-sentences-short-zero": ["pretrain", "--set", "data.sentences_short=0"],
         "pretrain-sentences-long-zero": ["pretrain", "--set", "data.sentences_long=0"],
         "pretrain-output-len-zero": ["pretrain", "--set", "schedule.output_len=0"],
+        # a phase's inputs or targets longer than the model takes
+        "pretrain-long-len-above-model": ["pretrain", "--set", "model.max_input_len=32",
+                                          "--set", "schedule.long_len=64"],
+        "pretrain-output-len-above-model": ["pretrain", "--set", "model.max_output_len=16"],
+        "pretrain-sentences-above-short-len": ["pretrain", "--set", "schedule.short_len=2"],
         "n-docs-negative": ["gen-data", "--set", "data.n_docs=-1"],
         "n-docs-zero": ["gen-data", "--set", "data.n_docs=0"],
         "seed-env-not-int": ["dump-mask"],
@@ -444,7 +457,7 @@ class TestInputContract:
         "seed-negative-gen-data": ["gen-data", "--seed", "-1"],
         "seed-negative-pretrain": ["pretrain", "--seed", "-3"],
         "seed-env-negative": ["dump-mask"],
-        "seed-offset-negative": ["gen-data", "--set", "data.seed_offset=-1"],
+        "seed-offset-removed": ["gen-data", "--set", "data.seed_offset=0"],
         "mask-layer-negative": ["dump-mask", "--set", "mask.layer=-1"],
         "finetune-model-not-the-checkpoints": ["finetune", "--ckpt", "CKPT", "--data", "IN_VOCAB",
                                                "--config", "CKPT_MODEL_D_FF",
@@ -481,10 +494,17 @@ class TestInputContract:
              "surgery-staggered-on-drop-cross": ("'staggered'", "drop_cross"),
              "surgery-staggered-on-replicate": ("'staggered'", "replicate_positions"),
              "run-json-learned-max-len": ("'model.posenc.learned_max_len'",),
+             "run-json-log-every": ("'train.log_every'",),
+             "config-posenc-buckets-16": ("config.json", "'posenc.t5_num_buckets'"),
              "steps-negative": ("steps", "-1"),
              "pretrain-sentences-short-zero": ("'data.sentences_short'",),
              "pretrain-sentences-long-zero": ("'data.sentences_long'",),
              "pretrain-output-len-zero": ("'schedule.output_len'",),
+             "pretrain-long-len-above-model": ("'schedule.long_len'", "'model.max_input_len'"),
+             "pretrain-output-len-above-model": ("'schedule.output_len'",
+                                                 "'model.max_output_len'"),
+             "pretrain-sentences-above-short-len": ("'data.sentences_short'",
+                                                    "'schedule.short_len'"),
              "n-docs-negative": ("n_docs", "-1"), "n-docs-zero": ("n_docs", "0"),
              "len-min-zero": ("minimum length", "0"),
              "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
@@ -494,7 +514,7 @@ class TestInputContract:
              "num-global-block_local": ("num_global", "global_local"),
              "seed-negative-gen-data": ("'seed'", "-1"), "seed-negative-pretrain": ("'seed'", "-3"),
              "seed-env-negative": ("'seed'", "-1"),
-             "seed-offset-negative": ("'data.seed_offset'",),
+             "seed-offset-removed": ("'data.seed_offset'",),
              "mask-layer-negative": ("layer", "-1"),
              "finetune-model-not-the-checkpoints": ("'model.d_ff'", "checkpoint")}
 

@@ -334,7 +334,7 @@ class TestLoss:
         pairs = TR.docs_to_pairs(docs)
         losses = []
         TR.train(cfg, params, pairs, steps=500, batch_size=2, seed=0,
-                 lr=3e-3, warmup=50, log_every=0, loss_log=losses)
+                 lr=3e-3, warmup=50, loss_log=losses)
         vals = [l for _, l in losses]
         win = [float(np.mean(vals[i:i + 20])) for i in range(0, 500, 20)]
         assert all(b <= a + 0.05 for a, b in zip(win, win[1:]))
@@ -479,9 +479,8 @@ def dense_encoder_attention(cfg, params):
         allow = np.ones((1, L + g, L + g), dtype=bool)
         allow[0, :L, :L] = layout.pair_mask()
         bias = None
-        if cfg.posenc.scheme == Scheme.T5_RELATIVE:
-            pe = cfg.posenc
-            bias = P.t5_relative_bias(L, L, pe.t5_num_buckets, pe.t5_max_distance,
+        if cfg.posenc == Scheme.T5_RELATIVE:
+            bias = P.t5_relative_bias(L, L, P.T5_BUCKETS, P.T5_MAX_DISTANCE,
                                       params["posenc.bias_enc"], bidirectional=True)
             bias = T.pad_axis(T.pad_axis(bias, 1, 0, g), 2, 0, g)
         if g == 0:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from longattn import posenc as P
 from longattn import tensor as T
-from longattn.posenc import PosEncConfig, Scheme
 from longattn.tensor import Tensor
 
 
@@ -265,20 +264,3 @@ class TestT5Bias:
         assert blk.shape == (2, 4, 4)
         assert np.array_equal(blk.data, full.data)
 
-
-class TestConfig:
-    def test_defaults_valid(self):
-        cfg = PosEncConfig()
-        assert cfg.scheme == Scheme.SINUSOIDAL
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            PosEncConfig(sinusoidal_factor=1.0)
-
-    def test_bad_buckets(self):
-        with pytest.raises(ValueError):
-            PosEncConfig(t5_num_buckets=1)
-
-    def test_max_distance_must_exceed_buckets(self):
-        with pytest.raises(ValueError):
-            PosEncConfig(t5_num_buckets=32, t5_max_distance=32)
