@@ -210,13 +210,14 @@ def causal_self_attention(q: Tensor, k: Tensor, v: Tensor,
     """Full attention with a j <= i mask over the last Lq of Lk positions.
 
     Lq == Lk is the teacher-forced case; Lq < Lk lets the newest queries
-    attend to a cache of earlier keys and values.
+    attend to a cache of earlier keys and values. One query sees every key,
+    so it needs no mask.
     """
     _check_qkv(q, k, v)
     Lq, Lk = q.shape[1], k.shape[1]
     if Lq > Lk:
         raise ShapeError(f"causal self-attention needs Lq <= Lk, got {Lq} > {Lk}")
-    return full_attention(q, k, v, mask=causal_mask(Lq, Lk), bias=bias)
+    return full_attention(q, k, v, mask=causal_mask(Lq, Lk) if Lq > 1 else None, bias=bias)
 
 
 def cross_attention(dec_q: Tensor, enc_k: Tensor, enc_v: Tensor) -> Tensor:

@@ -189,28 +189,30 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
     sc = cfg["schedule"]
     schedule = D.build_schedule(sc["shape"], sc["total_budget"], sc["short_len"],
                                 sc["long_len"], batch=sc["batch"],
-                                base_mask_ratio=sc["base_mask_ratio"],
-                                output_len=sc["output_len"])
+                                base_mask_ratio=sc["base_mask_ratio"])
     dcfg = cfg["data"]
     if dcfg["vocab_size"] > mcfg.vocab_size:
         raise ConfigError(f"data.vocab_size {dcfg['vocab_size']} exceeds the model's "
                           f"vocabulary (model.vocab_size {mcfg.vocab_size})")
-    params = init_params(mcfg, cfg["seed"])
-    losses: list = []
+    phase_examples = []              # every phase's, so a bad output_len fails before training
     for pi, phase in enumerate(schedule.phases):
-        n_sent = (dcfg["sentences_short"] if phase.input_len == sc["short_len"]
-                  else dcfg["sentences_long"])
+        n_sent = dcfg["sentences_" + phase.kind]
         sent_len = phase.input_len // n_sent
         docs = D.gen_corpus("copy", dcfg["n_docs"],
                             (sent_len * n_sent, sent_len * n_sent),
                             dcfg["vocab_size"], cfg["seed"] + 1000 + pi)
-        examples = []
-        for di, doc in enumerate(docs):
-            sents = [doc.flat()[i:i + sent_len]
-                     for i in range(0, len(doc.flat()), sent_len)]
-            gdoc = D.SyntheticDoc(sents)
-            inp, tgt = D.gsg_mask(gdoc, phase.mask_ratio, cfg["seed"] + 2000 + di)
-            examples.append((inp, tgt[:phase.output_len]))
+        phase_examples.append([
+            D.gsg_mask(D.SyntheticDoc([doc.flat()[i:i + sent_len]
+                                       for i in range(0, len(doc.flat()), sent_len)]),
+                       phase.mask_ratio, cfg["seed"] + 2000 + di)
+            for di, doc in enumerate(docs)])
+    longest = max(len(tgt) for examples in phase_examples for _, tgt in examples)
+    if longest > sc["output_len"]:
+        raise ConfigError(f"config key 'schedule.output_len' ({sc['output_len']}) is below "
+                          f"the longest GSG target ({longest} tokens)")
+    params = init_params(mcfg, cfg["seed"])
+    losses: list = []
+    for pi, (phase, examples) in enumerate(zip(schedule.phases, phase_examples)):
         TR.train(mcfg, params, examples, phase.steps, sc["batch"],
                  cfg["seed"] + 3000 + pi, lr=cfg["train"]["lr"],
                  warmup=cfg["train"]["warmup"], loss_log=losses)

@@ -231,10 +231,10 @@ SCHEDULE_SHAPES = {
 @dataclass(frozen=True)
 class Phase:
     input_len: int
-    output_len: int
     mask_ratio: float
     token_budget: int
     steps: int
+    kind: str                  # "short" or "long": the schedule length it trains at
 
 
 @dataclass(frozen=True)
@@ -248,8 +248,7 @@ class PretrainSchedule:
 
 
 def build_schedule(shape: str, total_budget: int, short_len: int, long_len: int,
-                   batch: int = 1, base_mask_ratio: float = 0.45,
-                   output_len: int = 64) -> PretrainSchedule:
+                   batch: int = 1, base_mask_ratio: float = 0.45) -> PretrainSchedule:
     """Split a token budget across short/long phases per the named shape.
 
     Phase step counts are budget // (batch * input_len); any remainder from
@@ -277,5 +276,5 @@ def build_schedule(shape: str, total_budget: int, short_len: int, long_len: int,
         budget = steps * per_step
         consumed += budget
         ratio = scale_mask_ratio(base_mask_ratio, short_len, input_len)
-        phases.append(Phase(input_len, output_len, ratio, budget, steps))
+        phases.append(Phase(input_len, ratio, budget, steps, which))
     return PretrainSchedule(tuple(phases), consumed)

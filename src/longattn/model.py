@@ -317,33 +317,38 @@ class DecodeState:
 
     `cross` maps each cross sublayer's prefix ("dec.1.cross", "dec.1.gx") to
     its (k, v), projected from the encoder token or global states when that
-    sublayer first runs; every hypothesis shares them. `self_kv` maps each
-    decoder layer to its self-attention (k, v) so far: [h, t, hd] for one
-    sequence, [batch * h, t, hd] with the hypotheses folded into the heads.
+    sublayer first runs; every hypothesis shares them. k is a transposed view
+    of a contiguous [h, hd, L] K^T, made by recorded ops as W_k^T X^T, which
+    each step's score matmul reads row by row. `kv` buffers the self-attention
+    K and V of every layer, [layers, 2, batch * h, max_output_len, hd] with the
+    hypotheses folded into the heads: a pass writes its positions in place,
+    and reorder gathers the first t positions into a new buffer.
     """
 
     def __init__(self):
         self.t = 0            # positions decoded so far
         self.batch = 0        # sequences: set by the first pass and by reorder
         self.cross: dict[str, tuple[Tensor, Tensor]] = {}
-        self.self_kv: dict[int, tuple[Tensor, Tensor]] = {}
+        self.kv: np.ndarray | None = None
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Add the new positions' K/V for `layer`; returns the whole cache."""
-        if layer in self.self_kv:
-            k0, v0 = self.self_kv[layer]
-            k, v = T.concat([k0, k], axis=1), T.concat([v0, v], axis=1)
-        self.self_kv[layer] = (k, v)
-        return k, v
+        """Write the new positions' K/V for `layer`; returns the cache so far.
+        The first pass gets its own k and v back, so a teacher-forced pass
+        differentiates through them."""
+        t, n = self.t, k.shape[1]
+        kv = self.kv[layer]
+        kv[0, :, t:t + n], kv[1, :, t:t + n] = k.data, v.data
+        return (k, v) if t == 0 else (Tensor(kv[0, :, :t + n]), Tensor(kv[1, :, :t + n]))
 
     def reorder(self, parents) -> None:
         """Make hypothesis parents[j] the new hypothesis j (beam search)."""
-        def gather(x: Tensor) -> Tensor:
-            n, t, hd = x.shape
-            per_hyp = x.data.reshape(self.batch, n // self.batch, t, hd)
-            return Tensor(per_hyp[parents].reshape(-1, t, hd))
-
-        self.self_kv = {i: (gather(k), gather(v)) for i, (k, v) in self.self_kv.items()}
+        if list(parents) == list(range(self.batch)):
+            return
+        layers, _, n, cap, hd = self.kv.shape
+        per_hyp = self.kv.reshape(layers, 2, self.batch, n // self.batch, cap, hd)
+        kv = np.empty((layers, 2, len(parents)) + per_hyp.shape[3:])
+        kv[..., :self.t, :] = per_hyp[:, :, parents, :, :self.t]
+        self.kv = kv.reshape(layers, 2, -1, cap, hd)
         self.batch = len(parents)
 
 
@@ -370,6 +375,9 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
         raise ValueError(f"output length {t0 + n} exceeds max_output_len {cfg.max_output_len}")
     if cfg.decoder_global_attn and enc_glob is None:
         raise ValueError("decoder_global_attn set but no global states supplied")
+    if t0 and T.Tape._active is not None:
+        raise T.TapeError("a decoder step after the first cannot run under a tape: "
+                          "its K/V cache holds values, not the ops that made them")
     drop = lambda x: T.dropout(x, cfg.dropout_p, training, rng)
     h = cfg.num_heads
     pos = np.arange(t0, t0 + n)
@@ -391,6 +399,8 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
     else:
         heads, merge = (lambda a: _split_heads(a, h)), _merge_heads
     state.batch = B
+    if t0 == 0:
+        state.kv = np.empty((cfg.dec_layers, 2, B * h, cfg.max_output_len, cfg.head_dim))
 
     for i in range(cfg.dec_layers):
         p = f"dec.{i}."
@@ -406,7 +416,8 @@ def decoder_forward(cfg: ModelConfig, params, out_ids, enc_tok, enc_glob=None,
             sp, glob = p + s, s == "gx"          # global states have no positions
             if sp not in state.cross:
                 src = enc_glob if glob else enc_tok
-                k = _project_heads(src, params[sp + ".wk"], h)
+                kt = T.matmul(T.transpose(params[sp + ".wk"], (1, 0)), T.transpose(src, (1, 0)))
+                k = T.transpose(T.reshape(kt, (h, cfg.head_dim, -1)), (0, 2, 1))
                 k = _maybe_rope(cfg, k, None if glob else np.arange(src.shape[0]))
                 state.cross[sp] = (k, _project_heads(src, params[sp + ".wv"], h))
             k, v = state.cross[sp]

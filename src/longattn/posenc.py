@@ -10,6 +10,11 @@ backward rule of its own.
 The model fixes its constants: base 10000 for sinusoidal and RoPE (the
 functions' default), and T5_BUCKETS buckets up to T5_MAX_DISTANCE for the T5
 bias (Raffel et al. 2019). The functions take them as arguments for the oracles.
+
+Sinusoidal rows are views of one read-only table per (width, factor), kept for
+the process's life and rebuilt at least twice as long when a call reaches past
+its end: at most twice the furthest position asked for (2048 x 64 floats is
+1 MiB). A row is the closed form at its position, however the table grew.
 """
 
 from __future__ import annotations
@@ -33,20 +38,24 @@ class Scheme(str, Enum):
 
 T5_BUCKETS = 32
 T5_MAX_DISTANCE = 128
+_SINUSOIDAL: dict[tuple[int, float], np.ndarray] = {}   # (d, factor) -> read-only table
 
 
 def sinusoidal(L: int, d: int, factor: float = 10000.0, start: int = 0) -> np.ndarray:
     """PE[p, 2i] = sin(p / factor^(2i/d)), PE[p, 2i+1] = cos(...), for the L
-    positions p = start .. start + L - 1."""
-    if d % 2 != 0:
-        raise ValueError(f"sinusoidal encoding needs even width, got {d}")
-    pos = np.arange(start, start + L, dtype=np.float64)[:, None]
-    freq = factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
-    ang = pos * freq[None, :]
-    pe = np.zeros((L, d), dtype=np.float64)
-    pe[:, 0::2] = np.sin(ang)
-    pe[:, 1::2] = np.cos(ang)
-    return pe
+    positions p = start .. start + L - 1: a read-only view of a cached table."""
+    if d % 2 != 0 or start < 0:
+        raise ValueError(f"sinusoidal encoding needs an even width and start >= 0, "
+                         f"got {d} and {start}")
+    table = _SINUSOIDAL.get((d, factor), np.empty((0, d)))
+    if start + L > len(table):
+        pos = np.arange(max(start + L, 2 * len(table)), dtype=np.float64)[:, None]
+        ang = pos * factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+        table = np.empty((len(pos), d))
+        table[:, 0::2], table[:, 1::2] = np.sin(ang), np.cos(ang)
+        table.flags.writeable = False
+        _SINUSOIDAL[(d, factor)] = table
+    return table[start:start + L]
 
 
 def replicate(table: np.ndarray, new_len: int) -> np.ndarray:

@@ -10,11 +10,11 @@ ndarray or float operand in a Tensor that needs no grad. `attend` is the
 one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
 backward. It runs one loop over tiles of at most ATTEND_TILE scores: a call
 that fits one tile keeps its probabilities, a larger one recomputes them in
-backward. `softmax` is no op, only attend's normaliser of score arrays. An op
-writes only into arrays it allocated, never into inputs, gradients or arrays
-saved for backward, so a backward rule may hand one array to several parents;
-it never writes into an array it has handed to a parent. Every op that
-computes checks its output for NaN/Inf and raises on violation.
+backward. `softmax` is no op, only attend's in-place normaliser of the scores
+it allocated. An op writes only into arrays it allocated, never into inputs,
+gradients or arrays saved for backward, so a backward rule may hand one array
+to several parents; it never writes into an array it has handed to a parent.
+Every op that computes checks its output for NaN/Inf and raises on violation.
 The movement ops (reshape, transpose, concat, narrow, pad_axis) only copy or
 view values, so they leave the check to the next op that computes.
 
@@ -81,7 +81,7 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:   # .all() is slower on small arrays
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -276,10 +276,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     out = Tensor(a.data.transpose(axes))
-    inv = np.argsort(axes)
 
     def backward(g):
-        a.accumulate_grad(g.transpose(inv))
+        a.accumulate_grad(g.transpose(np.argsort(axes)))
     return _record(out, (a,), backward, "transpose")
 
 
@@ -336,13 +335,15 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
 # attention / normalization / loss
 
 def softmax(s: np.ndarray) -> np.ndarray:
-    """Row probabilities of a score array over its last axis, in a new array:
-    attend's normaliser, called once per tile. It records no node and leaves
-    the finiteness check to attend, whose output a NaN here reaches."""
-    p = s - s.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    """Normalise a score array in place into row probabilities over its last
+    axis; returns the row maxima it subtracted. attend's normaliser, called
+    once per tile on scores it allocated. It records no node and leaves the
+    finiteness check to attend, whose output a NaN here reaches."""
+    m = s.max(axis=-1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return m
 
 
 def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
@@ -373,7 +374,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     as large as the bias)."""
     bias = None if bias is None else _as_tensor(bias)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
 
     def cut(x: np.ndarray, sl: slice, keys: bool = False) -> tuple:
         """Index of the tile `sl` in x, which is right-aligned with the scores
@@ -412,8 +413,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
         o, lse = (None, None) if one else (np.empty(rows + v.shape[-1:]), np.empty(rows + (1,)))
         for sl in tiles:
             at = tile(sl)
-            s, mask = tile_scores(at)
-            p = softmax(s)                       # once per tile, so its calls count the scores
+            p, mask = tile_scores(at)            # scores, made probabilities in place
+            smax = softmax(p)                    # once per tile, so its calls count the scores
             dead = None if mask is None else ~mask.any(axis=-1, keepdims=True)
             if dead is not None and dead.any():
                 p *= np.where(dead, 0.0, 1.0)    # a dead row comes out uniform; zero it
@@ -422,7 +423,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
                 continue
             # a row's largest p is 1 / its sum; a dead row's lse is inf, so it recomputes as 0
             with np.errstate(divide="ignore"):
-                lse[at[5]] = s.max(axis=-1, keepdims=True) - np.log(p.max(axis=-1, keepdims=True))
+                lse[at[5]] = smax - np.log(p.max(axis=-1, keepdims=True))
             o[at[5]] = p @ v.data[at[2]]
     except (ValueError, IndexError) as e:
         raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
@@ -465,9 +466,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError("layer_norm: zero-length last axis")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs last extent {d}")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    mean = lambda x: np.add.reduce(x, axis=-1, keepdims=True) / d   # np.mean's arithmetic
+    mu = mean(a.data)
     out = a.data - mu                    # centred here, normalised in place below
-    var = (out ** 2).mean(axis=-1, keepdims=True)
+    var = mean(out * out)
     inv = 1.0 / np.sqrt(var + eps)
     out *= inv
     out *= gain.data
@@ -482,9 +484,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             gx = g * gain.data
-            t1 = gx.mean(axis=-1, keepdims=True)
-            t2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(inv * (gx - t1 - xhat * t2))
+            a.accumulate_grad(inv * (gx - mean(gx) - xhat * mean(gx * xhat)))
     return _record(Tensor(out), (a, gain, bias), backward, "layer_norm")
 
 

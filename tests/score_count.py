@@ -1,8 +1,8 @@
 """Test-side score counter for the attention kernels.
 
-tensor.softmax is attend's plain normaliser: a function from a score array
-to its row probabilities, with no tape node. tensor.attend calls it once per
-tile of its scores in forward (once per call when the scores fit in one
+tensor.softmax is attend's plain normaliser: it turns a score array into its
+row probabilities in place, with no tape node. tensor.attend calls it once
+per tile of its scores in forward (once per call when the scores fit in one
 tile) and never in backward, which reuses or recomputes the probabilities
 without it. So the entries of the arrays passed to tensor.softmax are the
 score entries an attention call computes, and that count times head_dim is

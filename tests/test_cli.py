@@ -444,6 +444,9 @@ class TestInputContract:
         "pretrain-long-len-above-model": ["pretrain", "--set", "model.max_input_len=32",
                                           "--set", "schedule.long_len=64"],
         "pretrain-output-len-above-model": ["pretrain", "--set", "model.max_output_len=16"],
+        # the default schedule's GSG targets are 10 tokens
+        "pretrain-output-len-below-target": ["pretrain", "--set", "schedule.output_len=8",
+                                             "--set", "schedule.total_budget=512"],
         "pretrain-sentences-above-short-len": ["pretrain", "--set", "schedule.short_len=2"],
         "n-docs-negative": ["gen-data", "--set", "data.n_docs=-1"],
         "n-docs-zero": ["gen-data", "--set", "data.n_docs=0"],
@@ -505,6 +508,7 @@ class TestInputContract:
                                                  "'model.max_output_len'"),
              "pretrain-sentences-above-short-len": ("'data.sentences_short'",
                                                     "'schedule.short_len'"),
+             "pretrain-output-len-below-target": ("'schedule.output_len'", "10 tokens"),
              "n-docs-negative": ("n_docs", "-1"), "n-docs-zero": ("n_docs", "0"),
              "len-min-zero": ("minimum length", "0"),
              "needle-block-0": ("needle_block",), "needle-block-4": ("needle_block",),
@@ -586,3 +590,14 @@ class TestPretrainCommand:
         assert rc == 0
         for name in ("ckpt_final/params.bin", "ckpt_final/manifest.json", "loss.csv"):
             assert (a / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_long_phase_reads_sentences_long_when_lengths_are_equal(self, tmp_path):
+        losses = []
+        for n in (2, 8):
+            rc = run(["pretrain", "--out", tmp_path / str(n), "--set", "schedule.short_len=16",
+                      "--set", "schedule.long_len=16", "--set", "schedule.total_budget=512",
+                      "--set", f"data.sentences_long={n}"])
+            assert rc == 0
+            losses.append((tmp_path / str(n) / "loss.csv").read_text().splitlines())
+        # S75L25: the short phase's 12 steps match, the long phase's 4 do not
+        assert losses[0][:13] == losses[1][:13] and losses[0][13:] != losses[1][13:]

@@ -258,6 +258,10 @@ class TestSchedule:
         assert s.phases[0].mask_ratio == 0.45
         assert s.phases[1].mask_ratio == 0.45 / 8
 
+    def test_phase_carries_its_kind_when_lengths_are_equal(self):
+        s = D.build_schedule("S75L25", 1024, short_len=16, long_len=16, batch=2)
+        assert [p.kind for p in s.phases] == ["short", "long"]
+
     def test_budget_conserved_exactly(self):
         s = D.build_schedule("S75L25", 2 ** 14, short_len=32, long_len=128, batch=4)
         assert sum(p.steps * 4 * p.input_len for p in s.phases) == s.total_budget
@@ -271,6 +275,6 @@ class TestSchedule:
             D.build_schedule("S25L75", 1024, short_len=64, long_len=512)
 
     def test_phase_budget_sum_invariant_enforced(self):
-        ph = D.Phase(64, 64, 0.45, 640, 10)
+        ph = D.Phase(64, 0.45, 640, 10, "short")
         with pytest.raises(ValueError):
             D.PretrainSchedule((ph,), total_budget=641)

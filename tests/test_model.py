@@ -744,6 +744,52 @@ class TestIncrementalDecoding:
             ref = M.decoder_forward(cfg, params, seq, enc_tok, enc_glob).data[-1]
             assert np.abs(row - ref).max() < 1e-12
 
+    def test_beam_to_max_output_len_matches_teacher_forced(self):
+        """Every step reorders the hypotheses, repeating and dropping some,
+        and the beam shrinks and grows, up to the cache's full capacity."""
+        cfg, params, enc_tok, enc_glob = self.build(Scheme.SINUSOIDAL, True, ())
+        rng = np.random.default_rng(7)
+        seqs, state = [[M.BOS_ID]] * 3, M.DecodeState()
+        for t in range(cfg.max_output_len):
+            step = M.decoder_forward(cfg, params, [s[-1] for s in seqs], enc_tok, enc_glob,
+                                     state=state).data
+            for row, seq in zip(step, seqs):
+                ref = M.decoder_forward(cfg, params, seq, enc_tok, enc_glob).data[-1]
+                assert np.abs(row - ref).max() < 1e-12, t
+            parents = rng.integers(0, len(seqs), size=(2, 4, 3)[t % 3]).tolist()
+            seqs = [seqs[b] + [int(rng.integers(4, 16))] for b in parents]
+            state.reorder(parents)
+        assert state.t == cfg.max_output_len
+
+    def test_first_step_under_a_tape_matches_finite_differences(self):
+        """The first step of two hypotheses differentiates through its own
+        K/V and through each cross sublayer's recorded K^T layout."""
+        cfg, params, enc_tok, enc_glob = self.build(Scheme.SINUSOIDAL, True, ())
+        w = np.random.default_rng(8).standard_normal((2, cfg.vocab_size))
+        for name in ("dec.0.self.wv", "dec.0.cross.wk", "dec.1.gx.wk"):
+            def loss_at(x, name=name):
+                saved, params[name] = params[name], x
+                try:
+                    logits = M.decoder_forward(cfg, params, [M.BOS_ID, 7], enc_tok, enc_glob,
+                                               state=M.DecodeState())
+                    return T.tsum(T.mul(logits, w))
+                finally:
+                    params[name] = saved
+            p = params[name]
+            p.grad = None
+            with T.Tape():
+                T.backward(loss_at(p))
+            fd = T.finite_diff_grad(loss_at, p, h=1e-5)
+            assert np.abs(p.grad).max() > 0 and T.rel_err(p.grad, fd) < 1e-6, name
+
+    def test_step_after_the_first_under_a_tape_raises(self):
+        cfg, params, enc_tok, enc_glob = self.build(Scheme.SINUSOIDAL, False, ())
+        state = M.DecodeState()
+        M.decoder_forward(cfg, params, [M.BOS_ID], enc_tok, enc_glob, state=state)
+        with T.Tape(), pytest.raises(T.TapeError, match="under a tape"):
+            M.decoder_forward(cfg, params, [7], enc_tok, enc_glob, state=state)
+        assert state.t == 1
+
     def test_batch_size_mismatch_rejected(self):
         cfg, params, enc_tok, enc_glob = self.build(Scheme.SINUSOIDAL, False, ())
         state = M.DecodeState()

@@ -36,6 +36,26 @@ class TestSinusoidal:
     def test_start_offsets_rows(self):
         assert np.array_equal(P.sinusoidal(3, 8, start=5), P.sinusoidal(8, 8)[5:])
 
+    def test_cached_rows_equal_the_closed_form_as_the_table_grows(self):
+        d, factor = 10, 777.0                # a table no other test builds
+        freq = factor ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+        lengths = []
+        for L, start in [(3, 0), (2, 5), (10, 20), (1, 29), (0, 40), (64, 1), (1, 200)]:
+            pe = P.sinusoidal(L, d, factor, start)
+            ang = np.arange(start, start + L, dtype=np.float64)[:, None] * freq
+            ref = np.zeros((L, d))
+            ref[:, 0::2], ref[:, 1::2] = np.sin(ang), np.cos(ang)
+            assert np.array_equal(pe, ref), (L, start)
+            assert not pe.flags.writeable
+            with pytest.raises(ValueError):
+                pe[...] = 0.0
+            lengths.append(len(P._SINUSOIDAL[(d, factor)]))
+        assert lengths == [3, 7, 30, 30, 60, 120, 240]
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            P.sinusoidal(2, 4, start=-1)
+
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             P.sinusoidal(4, 5)

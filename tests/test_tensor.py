@@ -53,13 +53,20 @@ class TestMatmul:
         assert np.allclose(out.data, a @ b)
 
 
+def softmax(xs) -> np.ndarray:
+    """T.softmax's probabilities: it normalises its argument in place."""
+    out = np.array(xs, dtype=np.float64)
+    assert np.array_equal(T.softmax(out), [max(xs)])     # it returns the row maximum
+    return out
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(np.array([0.0, 0.0, 0.0]))
+        out = softmax([0.0, 0.0, 0.0])
         assert np.allclose(out, [1 / 3] * 3)
 
     def test_stability_no_nan(self):
-        out = T.softmax(np.array([1000.0, 0.0]))
+        out = softmax([1000.0, 0.0])
         assert np.allclose(out, [1.0, 0.0])
 
     def test_high_precision_oracle(self):
@@ -68,12 +75,12 @@ class TestSoftmax:
         xs = [1.0, 2.0, 3.0]
         es = [mpmath.exp(x) for x in xs]
         ref = [float(e / sum(es)) for e in es]
-        out = T.softmax(np.array(xs))
+        out = softmax(xs)
         assert np.abs(out - ref).max() < 1e-15
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=20))
     def test_slices_sum_to_one(self, xs):
-        out = T.softmax(np.array(xs))
+        out = softmax(xs)
         assert abs(out.sum() - 1.0) < 1e-9
 
 
@@ -98,6 +105,26 @@ class TestLayerNorm:
     def test_zero_length_axis(self):
         with pytest.raises(T.ShapeError):
             T.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 32), (3, 5, 8), (2048, 32)])
+    def test_bit_equal_to_np_mean_formula(self, shape):
+        """Output and all three gradients equal, bit for bit, the formula
+        written with np.mean."""
+        rng = np.random.default_rng(len(shape))
+        x, gy = rng.standard_normal(shape) * 3 + 1, rng.standard_normal(shape)
+        gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        (gx, gg, gb), _ = grad_of(
+            lambda x, g, b: T.tsum(T.mul(T.layer_norm(x, g, b), gy)), x, gain, bias)
+        mean = lambda a: a.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(mean((x - mean(x)) ** 2) + 1e-6)
+        xhat = (x - mean(x)) * inv
+        d = shape[-1]
+        assert np.array_equal(T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data,
+                              xhat * gain + bias)
+        assert np.array_equal(gg, (gy * xhat).reshape(-1, d).sum(axis=0))
+        assert np.array_equal(gb, gy.reshape(-1, d).sum(axis=0))
+        g = gy * gain
+        assert np.array_equal(gx, inv * (g - mean(g) - xhat * mean(g * xhat)))
 
 
 class TestElementwise:
