@@ -8,9 +8,9 @@ Each run writes its artifacts and a run.json (that config + git describe) under
 --out, so --config <run.json> alone reruns it bit-identically. Paths are kept as
 given, relative to the working directory; an older run.json kept its seed beside
 its config, and that seed is read. Exit codes: 0 ok, 2 bad input (any ValueError
-or OSError: a bad config value, file or record), 3 numeric error (NaN/Inf), 4
-acceptance failure; `main` is the one place that maps exceptions to them, with
-one line on stderr.
+or OSError: bad argv, or a bad config value, file or record), 3 numeric error
+(NaN/Inf); `main` is the one place that maps exceptions to them, with one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import adapt as AD
-from . import bench as B
 from . import data as D
 from . import rouge as R
 from . import train as TR
@@ -61,13 +60,6 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0, "ckpt": "",
         "decode": {"beam_size": 1, "alpha": 0.0, "max_len": 32},
         "data": {"path": ""},
-    },
-    "bench": {
-        "seed": 0,
-        "bench": {"lengths": [256, 512, 1024], "block_size": 64, "num_global": 32,
-                  "num_heads": 4, "head_dim": 16, "repeats": 3,
-                  "variants": ["full", "block_local", "global_local"],
-                  "baseline": None, "check_ordering": True},
     },
     "dump-mask": {"seed": 0, "mask": {"L": 64, "layer": 0, "block_size": 16,
                                       "staggered": True}},
@@ -162,7 +154,7 @@ def write_run_json(out: Path, command: str, cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(cfg: dict, out: Path) -> int:
+def cmd_gen_data(cfg: dict, out: Path) -> None:
     d = cfg["data"]
     docs = D.gen_corpus(d["kind"], d["n_docs"], (d["len_min"], d["len_max"]),
                         d["vocab_size"], cfg["seed"],
@@ -170,10 +162,9 @@ def cmd_gen_data(cfg: dict, out: Path) -> int:
                         needle_decoys=d["needle_decoys"])
     D.write_jsonl(docs, out / "corpus.jsonl")
     print(f"wrote {len(docs)} docs to {out / 'corpus.jsonl'}")
-    return 0
 
 
-def cmd_pretrain(cfg: dict, out: Path) -> int:
+def cmd_pretrain(cfg: dict, out: Path) -> None:
     _require_positive(cfg, "data.sentences_short", "data.sentences_long",
                       "schedule.output_len")
     # a phase's GSG inputs then fit in the model, and are at most its input_len long
@@ -221,7 +212,6 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
     _write_loss_csv(out / "loss.csv", losses)
     print(f"pretrained {len(schedule.phases)} phases, "
           f"{sum(p.steps for p in schedule.phases)} steps")
-    return 0
 
 
 def _write_loss_csv(path: Path, losses: list) -> None:
@@ -238,7 +228,7 @@ SURGERY_KEYS = {"local": {"block_size": 0, "staggered": False},
                 "replicate_positions": {"new_max_len": 0}, "drop_cross": {"keep_layers": [0]}}
 
 
-def cmd_adapt(cfg: dict, out: Path) -> int:
+def cmd_adapt(cfg: dict, out: Path) -> None:
     if not cfg["ckpt"]:
         raise ConfigError("adapt needs --ckpt (or ckpt in config)")
     ckpt = AD.Checkpoint.load_dir(cfg["ckpt"])
@@ -267,7 +257,6 @@ def cmd_adapt(cfg: dict, out: Path) -> int:
             ckpt = AD.drop_cross_attention(ckpt, op["keep_layers"])
     ckpt.save(out / "ckpt")
     print(f"adapted checkpoint written to {out / 'ckpt'}")
-    return 0
 
 
 def _read_pairs(cfg: dict, vocab_size: int) -> list[tuple]:
@@ -285,7 +274,7 @@ def _read_pairs(cfg: dict, vocab_size: int) -> list[tuple]:
     return pairs
 
 
-def cmd_finetune(cfg: dict, out: Path) -> int:
+def cmd_finetune(cfg: dict, out: Path) -> None:
     mcfg = ModelConfig.from_dict(cfg["model"])
     params = AD.load(cfg["ckpt"])[1] if cfg["ckpt"] else init_params(mcfg, cfg["seed"])
     pairs = _read_pairs(cfg, mcfg.vocab_size)
@@ -296,10 +285,9 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
     AD.save(mcfg, params, out / "ckpt")
     _write_loss_csv(out / "loss.csv", losses)
     print(f"finetuned {tr['steps']} steps on {len(pairs)} examples")
-    return 0
 
 
-def cmd_eval(cfg: dict, out: Path) -> int:
+def cmd_eval(cfg: dict, out: Path) -> None:
     if not cfg["ckpt"]:
         raise ConfigError("eval needs --ckpt (or ckpt in config)")
     _require_positive(cfg, "decode.beam_size", "decode.max_len")
@@ -317,43 +305,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     (out / "metrics.json").write_text(json.dumps(
         {"exact_match": em, "rg": report.rg, "n": report.n_examples}, indent=1))
     print(f"rg={report.rg:.4f} exact_match={em:.3f} over {len(outputs)} examples")
-    return 0
 
 
-def cmd_bench(cfg: dict, out: Path) -> int:
-    bc = cfg["bench"]
-    bl, lengths = bc["baseline"], bc["lengths"]
-    if bl is not None and not (isinstance(bl, list) and len(bl) == 2
-                               and isinstance(bl[0], str) and type(bl[1]) is int):
-        raise ConfigError(f"config key 'bench.baseline' must be null or [variant, L], "
-                          f"got {json.dumps(bl)}")
-    if not lengths or min(lengths) < 1:
-        raise ConfigError(f"config key 'bench.lengths' must list lengths >= 1, "
-                          f"got {json.dumps(lengths)}")
-    if not bc["variants"]:
-        raise ConfigError("config key 'bench.variants' must name at least one variant")
-    _require_positive(cfg, "bench.repeats")
-    h, hd = bc["num_heads"], bc["head_dim"]
-    specs = []
-    for name in bc["variants"]:
-        v = Variant(name)
-        specs.append(AttentionSpec(
-            v, bc["block_size"],
-            bc["num_global"] if v == Variant.GLOBAL_LOCAL else 0,
-            False, h, hd))
-    rows = B.run_scaling(specs, lengths, repeats=bc["repeats"],
-                         baseline=None if bl is None else tuple(bl), seed=cfg["seed"])
-    (out / "scaling.csv").write_text(B.rows_to_csv(rows))
-    print(B.rows_to_csv(rows))
-    if bc["check_ordering"]:
-        rep = B.ordering_check(rows)
-        print(rep.message)
-        if not rep.ok:
-            return 4
-    return 0
-
-
-def cmd_dump_mask(cfg: dict, out: Path) -> int:
+def cmd_dump_mask(cfg: dict, out: Path) -> None:
     mc = cfg["mask"]
     mask = make_block_layout(mc["L"], mc["block_size"], mc["layer"], mc["staggered"]).pair_mask()
     pbm = [f"P1\n{mask.shape[1]} {mask.shape[0]}"]
@@ -364,18 +318,21 @@ def cmd_dump_mask(cfg: dict, out: Path) -> int:
         for row in mask:
             f.write(",".join(str(int(x)) for x in row) + "\n")
     print(f"wrote {mask.shape} mask to {out / 'mask.pbm'}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 
 COMMANDS = {"gen-data": cmd_gen_data, "pretrain": cmd_pretrain, "adapt": cmd_adapt,
-            "finetune": cmd_finetune, "eval": cmd_eval, "bench": cmd_bench,
-            "dump-mask": cmd_dump_mask}
+            "finetune": cmd_finetune, "eval": cmd_eval, "dump-mask": cmd_dump_mask}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # bad argv is bad input: main prints it on one line
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="longattn")
+    ap = _Parser(prog="longattn")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -392,17 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    flags = [(k, v) for k, v in vars(args).items()
-             if k in ("seed", "ckpt", "data.path") and v is not None]
     try:
+        args = build_parser().parse_args(argv)
+        flags = [(k, v) for k, v in vars(args).items()
+                 if k in ("seed", "ckpt", "data.path") and v is not None]
         cfg = resolve_config(args.command, args.config, args.sets, flags)
         out = Path(args.out)
         write_run_json(out, args.command, cfg)
         # _check_finite reports a NaN/Inf naming its op; NumPy's own warning
         # about it would add lines to stderr
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](cfg, out)
+            COMMANDS[args.command](cfg, out)
+        return 0
     except FloatingPointError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3

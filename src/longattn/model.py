@@ -93,12 +93,9 @@ class ModelConfig:
 
 def check_json(want, got, where: str, key: str = "") -> None:
     """The one type check for config documents: `got` must have the JSON type
-    of the template `want`. A null template takes anything and a float also
-    takes an int; list items are checked against want's first item, and an
-    object must have exactly want's keys. A mismatch is a ConfigError naming
-    `where` and the dotted key."""
-    if want is None:
-        return
+    of the template `want`, where a float also takes an int; list items are
+    checked against want's first item, and an object must have exactly want's
+    keys. A mismatch is a ConfigError naming `where` and the dotted key."""
     if type(got) not in ((float, int) if type(want) is float else (type(want),)):
         name = f"{where} key '{key}'" if key else where
         raise ConfigError(f"{name} must be {type(want).__name__}, got {json.dumps(got)}")

@@ -378,6 +378,41 @@ class TestAttentionCost:
         c2 = attention_cost(spec, 512)
         assert c2["score_mem_elems"] == 2 * c1["score_mem_elems"]
 
+    def test_global_local_overhead_closed_form(self):
+        # the global terms add a constant-factor overhead over plain
+        # block-local: 1 + g/b + g*(L+g)/(L*b) on score-side MACs (≈2 at
+        # g = b/2); whole-model overhead is far smaller because projections
+        # and FFN dominate at realistic widths, but this counter is
+        # deliberately attention-score-only
+        L, b, g = 1024, 64, 32
+        local = AttentionSpec(variant=Variant.BLOCK_LOCAL, block_size=b,
+                              num_heads=2, head_dim=8)
+        gl = AttentionSpec(variant=Variant.GLOBAL_LOCAL, block_size=b,
+                           num_global=g, num_heads=2, head_dim=8)
+        r = attention_cost(gl, L)["flops"] / attention_cost(local, L)["flops"]
+        assert r == pytest.approx(1 + g / b + g * (L + g) / (L * b))
+        assert 1.0 < r < attention_cost(
+            AttentionSpec(variant=Variant.FULL, num_heads=2, head_dim=8),
+            L)["flops"] / attention_cost(local, L)["flops"]
+
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize("blocks", [1, 8, 16])
+    def test_mac_ordering_local_global_local_full(self, staggered, blocks):
+        # local <= global-local < full from L = 8b on; at L = b block-local
+        # saves nothing (a tie with full, or the staggered frame's extra block
+        # costs more), so the ordering is not asserted there
+        b, g = 64, 32
+        L = blocks * b
+        macs = [attention_cost(AttentionSpec(variant=v, block_size=b, num_global=n,
+                                             staggered=s, num_heads=2, head_dim=8), L)["flops"]
+                for v, n, s in ((Variant.BLOCK_LOCAL, 0, staggered),
+                                (Variant.GLOBAL_LOCAL, g, staggered), (Variant.FULL, 0, False))]
+        local, glob, full = macs
+        if blocks >= 8:
+            assert local <= glob < full
+        else:
+            assert local == (2 if staggered else 1) * full
+
     def test_counter_instrumentation_reference_config(self):
         spec = AttentionSpec(variant=Variant.GLOBAL_LOCAL, block_size=64,
                              num_global=32, num_heads=4, head_dim=16)

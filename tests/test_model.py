@@ -58,17 +58,16 @@ class TestConfig:
 
 class TestCheckJson:
     """model.check_json, the one type check for config documents."""
-    WANT = {"n": 1, "x": 0.5, "s": "", "flag": False, "ids": [0], "any": None,
-            "sub": {"k": 1}}
+    WANT = {"n": 1, "x": 0.5, "s": "", "flag": False, "ids": [0], "sub": {"k": 1}}
 
-    @pytest.mark.parametrize("edit", [
-        {"x": 2}, {"any": [1, "a"]}, {"any": {"k": 1}}, {"ids": []}])
+    @pytest.mark.parametrize("edit", [{"x": 2}, {"ids": []}])
     def test_accepts(self, edit):
         M.check_json(self.WANT, {**self.WANT, **edit}, "doc")
 
     @pytest.mark.parametrize("edit, message", [
         ({"n": True}, "doc key 'n' must be int, got true"),       # an int takes no bool
         ({"n": 1.0}, "doc key 'n' must be int, got 1.0"),
+        ({"s": None}, "doc key 's' must be str, got null"),     # no template takes null
         ({"flag": 0}, "doc key 'flag' must be bool, got 0"),
         ({"ids": [1, "a"]}, "doc key 'ids' must be int, got \"a\""),
         ({"sub": {"k": 1, "j": 2}}, "doc has unknown key 'sub.j'"),
