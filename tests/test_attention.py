@@ -413,6 +413,32 @@ class TestAttentionCost:
         else:
             assert local == (2 if staggered else 1) * full
 
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize("L", [512, 1024])
+    def test_measured_macs_keep_the_ordering(self, staggered, L):
+        # the kernels' own score counts, not the closed form: at L = 1024 full
+        # attention's scores span two tiles
+        b, g, h, d = 64, 32, 1, 4
+        rng = np.random.default_rng(L)
+        lay = make_block_layout(L, b, 1 if staggered else 0, staggered)
+        tq, tk, tv = rand_qkv(rng, h, L, d)
+        runs = [lambda: A.block_local_attention(tq, tk, tv, lay),
+                lambda: A.global_local_attention(tq, tk, tv, *rand_qkv(rng, h, g, d), lay),
+                lambda: A.full_attention(tq, tk, tv)]
+        macs = []
+        for attend in runs:
+            with softmax_entries() as sizes:
+                attend()
+            macs.append(sum(sizes) * d)
+        local, glob, full = macs
+        assert local <= glob < full
+        specs = [AttentionSpec(variant=Variant.BLOCK_LOCAL, block_size=b, staggered=staggered,
+                               num_heads=h, head_dim=d),
+                 AttentionSpec(variant=Variant.GLOBAL_LOCAL, block_size=b, num_global=g,
+                               staggered=staggered, num_heads=h, head_dim=d),
+                 AttentionSpec(variant=Variant.FULL, num_heads=h, head_dim=d)]
+        assert macs == [attention_cost(s, L)["flops"] for s in specs]
+
     def test_counter_instrumentation_reference_config(self):
         spec = AttentionSpec(variant=Variant.GLOBAL_LOCAL, block_size=64,
                              num_global=32, num_heads=4, head_dim=16)

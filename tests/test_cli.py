@@ -77,6 +77,28 @@ class TestExitCodes:
         assert (tmp_path / "corpus.jsonl").exists()
         assert (tmp_path / "run.json").exists()
 
+    # the flags a command's usage lists beyond --config, --set, --seed and --out
+    HELP_FLAGS = {"gen-data": (), "pretrain": (), "adapt": ("--ckpt",),
+                  "finetune": ("--ckpt", "--data"), "eval": ("--ckpt", "--data"),
+                  "dump-mask": ()}
+
+    @pytest.mark.parametrize("command", [None, *HELP_FLAGS])
+    def test_help_prints_usage_and_exits_0(self, capsys, command):
+        # a parse error is bad input, but --help is not: argparse prints the
+        # usage to stdout and exits 0, for every subcommand's parser too
+        argv = [command] if command else []
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--help"])
+        out, err = capsys.readouterr()
+        assert e.value.code == 0 and err == ""
+        assert out.startswith(" ".join(["usage: longattn"] + argv))
+        if command:
+            flags = ("--config", "--set", "--seed", "--out") + self.HELP_FLAGS[command]
+            assert all(flag in out for flag in flags)
+            assert ("--ckpt" in out) == ("--ckpt" in flags)
+        else:
+            assert all(name in out for name in cli.COMMANDS)
+
 
 class TestSeedHandling:
     def test_env_fallback(self, tmp_path, monkeypatch):
@@ -391,6 +413,8 @@ class TestInputContract:
         "unknown-command": ["bench"],
         "seed-not-int": ["gen-data", "--seed", "abc"],
         "unknown-flag": ["gen-data", "--bogus", "1"],
+        "flag-missing-value": ["gen-data", "--seed"],
+        "flag-of-another-command": ["gen-data", "--ckpt", "CKPT"],
         "manifest-without-params": ["eval", "--ckpt", "NO_PARAMS", "--data", "CORPUS"],
         "manifest-not-object": ["eval", "--ckpt", "MANIFEST_LIST", "--data", "CORPUS"],
         "manifest-shape-string": ["eval", "--ckpt", "SHAPE_STR", "--data", "CORPUS"],
@@ -450,7 +474,8 @@ class TestInputContract:
              "params-byte-flipped": ("params.bin", "sha256", "manifest.json"),
              "lr-negative": ("learning rate", "-0.01"), "lr-zero": ("learning rate",),
              "unknown-command": ("'bench'",), "seed-not-int": ("--seed", "'abc'"),
-             "unknown-flag": ("--bogus",),
+             "unknown-flag": ("--bogus",), "flag-missing-value": ("--seed",),
+             "flag-of-another-command": ("--ckpt",),
              "manifest-without-params": ("manifest.json", "'params'"),
              "manifest-not-object": ("manifest.json", "'params'"),
              "manifest-shape-string": ("manifest.json", "'shape'", "'embed.tok'"),
