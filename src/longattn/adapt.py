@@ -143,7 +143,10 @@ def load_config(path) -> ModelConfig:
                                       f"the value the model fixes, got {json.dumps(pe[key])}")
         raw["posenc"] = pe["scheme"]
     check_json(ModelConfig().to_dict(), raw, str(cpath))
-    return ModelConfig.from_dict(raw)
+    try:
+        return ModelConfig.from_dict(raw)
+    except ValueError as e:
+        raise CheckpointError(f"{cpath}: {e}") from e
 
 
 def _check_inventory(expect: dict[str, tuple], got: dict[str, tuple], source) -> None:

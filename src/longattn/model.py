@@ -48,6 +48,10 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
+        for key in ("vocab_size", "d_model", "num_heads", "d_ff", "enc_layers", "dec_layers",
+                    "max_input_len", "max_output_len"):     # before any arithmetic on them
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model key '{key}' must be >= 1, got {getattr(self, key)}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         spec = self.attention

@@ -8,11 +8,13 @@ backward rule needs no check; a rule of several inputs skips those that do not.
 Constants are plain operands: `add`, `mul`, `matmul` and `concat` wrap an
 ndarray or float operand in a Tensor that needs no grad. `attend` is the
 one attention op, softmax(q k^T / sqrt(d) + bias) v, with a hand-written
-backward. It runs one loop over tiles of at most ATTEND_TILE scores: a call
-that fits one tile keeps its probabilities, a larger one recomputes them in
-backward. `softmax` is no op, only attend's in-place normaliser of the scores
-it allocated. An op writes only into arrays it allocated, never into inputs,
-gradients or arrays saved for backward, so a backward rule may hand one array
+backward. It runs one loop over tiles of at most ATTEND_TILE scores and
+normalises its output, not its scores: a call that fits one tile keeps
+exp(s - max) and each row's 1/sum, a larger one keeps each row's log-sum-exp
+and recomputes the probabilities in backward. `softmax` is no op, only
+attend's in-place exp(s - max) of the scores it allocated, which returns
+each row's max and sum. An op writes only into arrays it allocated, never
+into inputs, gradients or arrays saved for backward, so a backward rule may hand one array
 to several parents; it never writes into an array it has handed to a parent.
 Every op that computes checks its output for NaN/Inf and raises on violation.
 The movement ops (reshape, transpose, concat, narrow, pad_axis) only copy or
@@ -334,16 +336,30 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # attention / normalization / loss
 
-def softmax(s: np.ndarray) -> np.ndarray:
-    """Normalise a score array in place into row probabilities over its last
-    axis; returns the row maxima it subtracted. attend's normaliser, called
-    once per tile on scores it allocated. It records no node and leaves the
-    finiteness check to attend, whose output a NaN here reaches."""
+def softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn a score array in place into exp(s - max) over its last axis and
+    return each row's (max, sum) of it; the row probabilities are the array
+    divided by the sum. attend calls it once per tile in forward, on scores it
+    allocated, and scales its small output by 1/sum rather than divide the
+    scores. It records no node and leaves the finiteness check to attend,
+    whose output a NaN here reaches."""
     m = s.max(axis=-1, keepdims=True)
     s -= m
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return m
+    return m, s.sum(axis=-1, keepdims=True)
+
+
+def _matmul_nt_minus(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a b^T - c in a new array, for a c constant along each row of the
+    product. Where b has one more column than a, that column holds ones and c
+    rides the matmul as [a, -c] [b, 1]^T, so no pass over the product
+    subtracts it."""
+    if b.shape[-1] == a.shape[-1]:
+        out = a @ np.swapaxes(b, -1, -2)
+        out -= c
+        return out
+    a = np.broadcast_to(a, c.shape[:-1] + a.shape[-1:])
+    return np.concatenate([a, -c], axis=-1) @ np.swapaxes(b, -1, -2)
 
 
 def _tile_axis(scores: tuple[int, ...]) -> tuple[int, int]:
@@ -365,13 +381,21 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
     the keys `allow` marks True (broadcastable to the scores). Rows with no
     allowed key come out zero. `bias` (broadcastable to the scores) may carry
     grad. One recorded op and one loop over tiles of at most ATTEND_TILE
-    scores, cut along one axis (Rabe & Staats 2021, arXiv 2112.05682): forward
-    calls softmax once per tile. Scores that fit one tile are a
-    loop of one, whose node keeps their probabilities and no other
-    score-sized array. Larger scores keep each row's log-sum-exp instead:
-    backward recomputes each tile's p = exp(s - lse) and adds the tile's share
-    to every gradient, so no buffer outlives its tile (only a bias gradient is
-    as large as the bias)."""
+    scores, cut along one axis (Rabe & Staats 2021, arXiv 2112.05682).
+
+    Forward calls softmax once per tile, which leaves p~ = exp(s - m) with
+    row sums l, and sets o = (p~ v) / l: it scales the small output, never
+    the scores (FlashAttention-2, Dao 2023, arXiv 2307.08691). A row with no
+    allowed key gets 1/l = 0. Scores that fit one tile are a loop of one,
+    whose node keeps p~ and 1/l and no other score-sized array; its backward
+    scales the small dO by 1/l. Larger scores keep each row's log-sum-exp
+    m + log l instead (+inf for a dead row, so it recomputes as 0): backward
+    recomputes each tile's p = exp(s - lse) and adds the tile's share to every
+    gradient, so no buffer outlives its tile (only a bias gradient is as large
+    as the bias). There s - lse and dO v^T - rowsum(dO o) ride the score
+    matmuls as [q scale, -lse] [k, 1]^T and [dO, -rowsum] [v, 1]^T where each
+    key set serves many query rows, as in full attention; few-row calls
+    subtract the row constants in a pass over each tile instead."""
     bias = None if bias is None else _as_tensor(bias)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     scale = 1.0 / math.sqrt(q.shape[-1])
@@ -389,10 +413,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
                 cut(None if bias is None else bias.data, sl), cut(allow, sl),
                 (slice(None),) * (len(scores) + axis) + (sl,))
 
-    def tile_scores(at: tuple):
-        """A tile's scores and allow-mask, None where the tile masks no key.
-        It scales q, not the larger scores, and q·scale dies with the matmul."""
-        s = (q.data[at[0]] * scale) @ np.swapaxes(k.data[at[1]], -1, -2)
+    def tile_scores(at: tuple, qs: np.ndarray, ks: np.ndarray, rowc: np.ndarray | None = None):
+        """A tile's scores qs ks^T - rowc plus the bias and the mask, and its
+        allow-mask, None where the tile masks no key. qs is the tile's q·scale:
+        it scales q, not the larger scores."""
+        s = qs @ np.swapaxes(ks, -1, -2) if rowc is None else _matmul_nt_minus(qs, ks, rowc)
         if bias is not None:
             s += bias.data[at[3]]
         mask = None if allow is None or allow[at[4]].all() else allow[at[4]]
@@ -409,46 +434,56 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray | None = None,
         one = math.prod(scores) <= ATTEND_TILE   # so too no scores, which _tile_axis cannot cut
         axis, step = (-2, 0) if one else _tile_axis(scores)
         tiles = [slice(None)] if one else [slice(i, i + step) for i in range(0, scores[axis], step)]
-        kept = None                              # a loop of one's probabilities
+        kept = None                              # a loop of one's p~ and 1/l
         o, lse = (None, None) if one else (np.empty(rows + v.shape[-1:]), np.empty(rows + (1,)))
         for sl in tiles:
             at = tile(sl)
-            p, mask = tile_scores(at)            # scores, made probabilities in place
-            smax = softmax(p)                    # once per tile, so its calls count the scores
-            dead = None if mask is None else ~mask.any(axis=-1, keepdims=True)
-            if dead is not None and dead.any():
-                p *= np.where(dead, 0.0, 1.0)    # a dead row comes out uniform; zero it
+            p, mask = tile_scores(at, q.data[at[0]] * scale, k.data[at[1]])
+            m, total = softmax(p)                # once per tile, so its calls count the scores
+            r = 1.0 / total
+            if mask is not None:                 # a dead row's p~ is uniform: its 1/l is 0
+                np.copyto(r, 0.0, where=~mask.any(axis=-1, keepdims=True))
+            ot = p @ v.data[at[2]]
+            ot *= r
             if one:
-                o, kept = p @ v.data[at[2]], p
+                o, kept = ot, (p, r)
                 continue
-            # a row's largest p is 1 / its sum; a dead row's lse is inf, so it recomputes as 0
+            o[at[5]] = ot
             with np.errstate(divide="ignore"):
-                lse[at[5]] = smax - np.log(p.max(axis=-1, keepdims=True))
-            o[at[5]] = p @ v.data[at[2]]
+                lse[at[5]] = m - np.log(r)       # m + log l; +inf recomputes a dead row as 0
     except (ValueError, IndexError) as e:
         raise ShapeError(f"attend: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}, "
                          f"bias {None if bias is None else bias.shape}") from e
 
     def backward(g):
         sums = None if one else [np.zeros(t.shape) if t.requires_grad else None for t in parents]
+        # [k, 1] and [v, 1] copy k and v once per call, which pays only where
+        # each key serves many query rows, as in full attention. Below 8 rows
+        # per feature the copies cost more than the passes they save (2-vCPU
+        # VM: 1.09x the backward at 64 rows of 16 features, 1.3x for the 16K
+        # cross-attention's 17 rows)
+        wide = not one and scores[-2] >= 8 * q.shape[-1]
+        kw, vw = (k.data, v.data) if not wide else [
+            np.concatenate([x.data, np.ones(x.shape[:-1] + (1,))], axis=-1) for x in (k, v)]
         for sl in tiles:
             at = tile(sl)
-            if one:
-                p = kept                         # kept, so no scores are rebuilt
-            else:
-                p, _ = tile_scores(at)
-                p -= lse[at[5]]
-                np.exp(p, out=p)
             gt, ot = g[at[5]], o[at[5]]
+            if one:
+                p, r = kept                      # P = p~ / l, so dO / l stands in for dO
+                gt, qs = gt * r, q.data * scale
+            else:
+                qs = q.data[at[0]] * scale
+                p, _ = tile_scores(at, qs, kw[at[1]], lse[at[5]])
+                np.exp(p, out=p)
             dv = np.swapaxes(p, -1, -2) @ gt if v.requires_grad else None
-            ds = gt @ np.swapaxes(v.data[at[2]], -1, -2)   # rowsum(dP * P) = rowsum(dO * O)
-            ds -= (gt * ot).sum(axis=-1, keepdims=True)
+            # dP - rowsum(dP * P), with rowsum(dP * P) = rowsum(dO * O)
+            ds = _matmul_nt_minus(gt, vw[at[2]], (gt * ot).sum(axis=-1, keepdims=True))
             ds *= p
             dq = None
             if q.requires_grad:
                 dq = ds @ k.data[at[1]]
                 dq *= scale                      # scale dq, never ds, which may become the bias's
-            dk = np.swapaxes(ds, -1, -2) @ (q.data[at[0]] * scale) if k.requires_grad else None
+            dk = np.swapaxes(ds, -1, -2) @ qs if k.requires_grad else None
             for i, (t, d) in enumerate(zip(parents, (dq, dk, dv, ds))):
                 if t.requires_grad and one:
                     t.accumulate_grad(_unbroadcast(d, t.shape))   # the bias's may be ds itself

@@ -354,6 +354,7 @@ class TestInputContract:
                          lambda c: {k: v for k, v in c.items() if k != "attention"}),
         "EXTRA_KEY": ("config.json", lambda c: {**c, "bogus": 1}),
         "D_MODEL_STR": ("config.json", lambda c: {**c, "d_model": "16"}),
+        "NUM_HEADS_0": ("config.json", lambda c: {**c, "num_heads": 0}),
         "FLOAT16": ("manifest.json", lambda m: {**m, "params": {
             k: {**v, "dtype": "float16"} for k, v in m["params"].items()}}),
         # an older checkpoint's posenc object, with a value the model no longer takes
@@ -422,6 +423,10 @@ class TestInputContract:
         "config-missing-key": ["eval", "--ckpt", "NO_ATTENTION", "--data", "CORPUS"],
         "config-unknown-key": ["eval", "--ckpt", "EXTRA_KEY", "--data", "CORPUS"],
         "config-value-type": ["eval", "--ckpt", "D_MODEL_STR", "--data", "CORPUS"],
+        # sizes are checked before d_model % num_heads and init's fan_in ** -0.5
+        "config-num-heads-zero": ["eval", "--ckpt", "NUM_HEADS_0", "--data", "CORPUS"],
+        "model-num-heads-zero": ["finetune", "--data", "CORPUS", "--set", "model.num_heads=0"],
+        "model-d-ff-zero": ["finetune", "--data", "CORPUS", "--set", "model.d_ff=0"],
         "manifest-missing-param-global-local": [
             "adapt", "--ckpt", "NO_EMBED", "--set",
             'surgery.chain=[{"op": "global_local", "block_size": 8, "num_global": 2}]'],
@@ -483,6 +488,9 @@ class TestInputContract:
              "config-missing-key": ("config.json", "'attention'"),
              "config-unknown-key": ("config.json", "'bogus'"),
              "config-value-type": ("config.json", "'d_model'"),
+             "config-num-heads-zero": ("config.json", "'num_heads'", ">= 1"),
+             "model-num-heads-zero": ("'num_heads'", ">= 1"),
+             "model-d-ff-zero": ("'d_ff'", ">= 1"),
              "manifest-missing-param-global-local": ("manifest.json", "'embed.tok'"),
              "manifest-missing-param-drop-cross": ("manifest.json", "'embed.tok'"),
              "global-local-block-size-zero": ("block_size",),

@@ -54,10 +54,12 @@ class TestMatmul:
 
 
 def softmax(xs) -> np.ndarray:
-    """T.softmax's probabilities: it normalises its argument in place."""
+    """T.softmax's probabilities: it leaves exp(x - max) in place and returns
+    the row maximum and the row sum of that, which normalises it."""
     out = np.array(xs, dtype=np.float64)
-    assert np.array_equal(T.softmax(out), [max(xs)])     # it returns the row maximum
-    return out
+    m, total = T.softmax(out)
+    assert np.array_equal(m, [max(xs)]) and np.array_equal(total, [out.sum()])
+    return out / total
 
 
 class TestSoftmax:
@@ -356,6 +358,9 @@ class TestAttend:
         "full": ((2, 3, 4), (2, 5, 4), (2, 5, 3), (2, 3, 5)),
         "blocks": ((2, 3, 4, 4), (2, 3, 6, 4), (2, 3, 6, 2), (2, 1, 4, 6)),
         "one-block": ((2, 1, 4, 4), (2, 1, 6, 4), (2, 1, 6, 2), (2, 1, 4, 6)),
+        # 8 or more query rows per key feature: tiled backward widens k and v
+        # by a column of ones to fold each row's constant into the matmuls
+        "many-rows": ((2, 24, 2), (2, 5, 2), (2, 5, 3), (2, 24, 5)),
     }
 
     @pytest.mark.parametrize("case", list(SHAPES))
@@ -450,7 +455,7 @@ class TestAttend:
 
     # a tile constant per case that cuts its scores into several tiles:
     # along the rows, along the blocks, and along the rows of one block
-    TILES = {"full": 10, "blocks": 48, "one-block": 12}
+    TILES = {"full": 10, "blocks": 48, "one-block": 12, "many-rows": 60}
 
     @staticmethod
     def attend_grads(arrays, allow, up):
@@ -495,6 +500,16 @@ class TestAttend:
         allow = rng.random((2, 6, 5)) < 0.7
         allow[:, 1:3] = False
         self.tiled_against_one_tile(monkeypatch, arrays, allow, 20)
+
+    @pytest.mark.parametrize("q_heads", [2, 1], ids=["q-per-head", "q-broadcast"])
+    def test_tiles_match_one_tile_many_rows_dead_rows_on_a_boundary(self, q_heads, monkeypatch):
+        # [2, 24, 5] scores in tiles of 6 rows, widened: rows 5 to 7 cross a boundary
+        rng = np.random.default_rng(23)
+        arrays = [rng.standard_normal(s)
+                  for s in ((q_heads, 24, 2), (2, 5, 2), (2, 5, 3), (2, 24, 5))]
+        allow = rng.random((2, 24, 5)) < 0.7
+        allow[:, 5:8] = False
+        self.tiled_against_one_tile(monkeypatch, arrays, allow, 60)
 
     def test_tiles_match_one_tile_bias_broadcast_over_queries(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -588,9 +603,10 @@ class _CheckedNodes(list):
 
 
 class TestSavedForBackward:
-    """Under a tape, layer_norm, gelu and a loop-of-one attend keep no array beyond
-    their output (and attend's probabilities) that is anywhere near the size
-    of an input: backward rebuilds x̂, the tanh and the scaled queries."""
+    """Under a tape, layer_norm, gelu and attend keep no array beyond their
+    output (and a loop-of-one attend's exp(s - max)) that is anywhere near the
+    size of an input: backward rebuilds x̂, the tanh and the scaled queries,
+    and a tiled attend's probabilities."""
 
     @staticmethod
     def kept(op, *arrays):
@@ -618,8 +634,16 @@ class TestSavedForBackward:
 
     def test_attend_one_tile(self):
         q, k, v = np.random.default_rng(3).standard_normal((3, 2, 128, 64))
-        p_bytes = 2 * 128 * 128 * 8          # one tile's probabilities, which attend keeps
+        p_bytes = 2 * 128 * 128 * 8          # one tile's exp(s - max), which attend keeps
         assert self.kept(T.attend, q, k, v) - p_bytes < q.nbytes / 4
+
+    def test_attend_tiled(self, monkeypatch):
+        # [2, 128, 128] scores in tiles of 4,096 entries: the node keeps each
+        # row's log-sum-exp and nothing the size of a tile
+        monkeypatch.setattr(T, "ATTEND_TILE", 4096)
+        q, k, v = np.random.default_rng(3).standard_normal((3, 2, 128, 64))
+        lse_bytes, tile_bytes = 2 * 128 * 8, 4096 * 8
+        assert self.kept(T.attend, q, k, v) - lse_bytes < tile_bytes / 4
 
 
 class TestInPlaceKernels:
